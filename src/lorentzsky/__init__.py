@@ -14,9 +14,9 @@ from .decompose import StandardDecomposition, rapidity_of, recompose, standard_d
 from .errors import (BadAxis, InfinityPoint, LorentzSkyError, NotHermitian,
                      NotLorentz, NotNull, NotOnSphere, NotOrthochronous,
                      OriginDirectionUndefined, ParseError, RangeError,
-                     SpeedLimit, Unrepresentable, WrongComponent)
+                     SpeedLimit, WrongComponent)
 from .minkowski import (ComponentLabel, FourVector, LorentzMatrix, METRIC,
-                        PoincareTransform, Rapidity, add_velocities, apply,
+                        PoincareTransform, Rapidity, add_velocities,
                         boost_axis, boost_x, classify_component, gamma,
                         integrate_proper_acceleration, interval_squared,
                         parity, poincare_compose, rapidity_from_velocity,
@@ -24,8 +24,7 @@ from .minkowski import (ComponentLabel, FourVector, LorentzMatrix, METRIC,
                         validate_lorentz, velocity_from_rapidity)
 from .render import RenderSpec, blackbody_rgb, disc_radius_px, render
 from .sphere import (MoebiusTransform, PolarAngles, SpherePoint, antipode,
-                     from_polar, inverse_stereo, moebius_apply,
-                     moebius_compose, moebius_invert, sphere_metric_factor,
+                     from_polar, inverse_stereo, sphere_metric_factor,
                      stereo_project, to_polar)
 from .spin import (HermitianSlot, SL2CElement, SL2RElement, SU2Element,
                    four_vector_from_hermitian, hermitian_from_four_vector,

@@ -8,12 +8,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import WrongComponent
-from .minkowski import (ComponentLabel, LorentzMatrix, Rapidity, boost_x,
-                        classify_component, rotation_embed)
+from .minkowski import (ComponentLabel, LorentzMatrix, Rapidity, _frame_taking_e1_to,
+                        boost_x, classify_component, rotation_embed)
 
 _ROTATION_TOL = 1e-10
 _PURE_ROTATION_THRESHOLD = 1e-12
-_PARALLEL_SEED_THRESHOLD = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,26 +48,6 @@ def _nearest_rotation(r: np.ndarray) -> np.ndarray:
     return out
 
 
-def _complete_basis(e1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal (e2, e3) completing e1, from canonical seeds in index order.
-
-    Seeds nearly parallel to the running basis are skipped; e3 is flipped
-    if needed so that rows (e1, e2, e3) have det +1.
-    """
-    basis = [e1]
-    for seed in np.eye(3):
-        u = seed - sum((seed @ b) * b for b in basis)
-        norm = float(np.linalg.norm(u))
-        if norm > _PARALLEL_SEED_THRESHOLD:
-            basis.append(u / norm)
-            if len(basis) == 3:
-                break
-    e2, e3 = basis[1], basis[2]
-    if np.linalg.det(np.vstack([e1, e2, e3])) < 0:
-        e3 = -e3
-    return e2, e3
-
-
 def standard_decompose(lam: LorentzMatrix) -> StandardDecomposition:
     """Factor a proper orthochronous matrix as rotation . boost_x . rotation.
 
@@ -88,8 +67,7 @@ def standard_decompose(lam: LorentzMatrix) -> StandardDecomposition:
     # Deterministic sign: the largest-magnitude entry of e1 is positive.
     if e1[int(np.argmax(np.abs(e1)))] < 0:
         e1 = -e1
-    e2, e3 = _complete_basis(e1)
-    rbar1 = np.vstack([e1, e2, e3])            # rows
+    rbar1 = _frame_taking_e1_to(e1).T          # rows e1, e2, e3
     middle = np.eye(4)
     middle[1:, 1:] = rbar1
     middle = middle @ m                        # rows 2,3 now have zero time part

@@ -61,6 +61,3 @@ class ParseError(LorentzSkyError):
 class RangeError(LorentzSkyError):
     """A catalog value is outside its permitted range."""
 
-
-class Unrepresentable(LorentzSkyError):
-    """A point cannot be drawn in the chosen projection."""

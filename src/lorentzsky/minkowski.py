@@ -162,11 +162,6 @@ def classify_component(lam: LorentzMatrix) -> ComponentLabel:
             else ComponentLabel.IMPROPER_ANTICHRONOUS)
 
 
-def apply(lam: LorentzMatrix, x: FourVector) -> FourVector:
-    """Matrix action x -> lam . x."""
-    return lam.apply(x)
-
-
 @dataclass(frozen=True)
 class PoincareTransform:
     """Inhomogeneous transformation x -> lorentz . x + translation."""
@@ -244,18 +239,17 @@ def rotation_about_axis(n: Iterable[float], chi_or_angle: float) -> np.ndarray:
 
 
 def _frame_taking_e1_to(n: np.ndarray) -> np.ndarray:
-    """A rotation with first column n, completed by Gram-Schmidt.
+    """A rotation with first column the unit vector n.
 
-    Seeds e2 then e3 are tried in order, skipping a seed nearly parallel
-    to n; the third column is n x (second column), so det is +1.
+    The second column is Gram-Schmidt on the coordinate axis least aligned
+    with n, whose residual has norm at least sqrt(2/3); the third column is
+    n x (second column), so det is +1.
     """
-    for seed in (np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0])):
-        u = seed - (seed @ n) * n
-        norm = float(np.linalg.norm(u))
-        if norm > 1e-6:
-            c1 = u / norm
-            return np.column_stack([n, c1, np.cross(n, c1)])
-    raise BadAxis("could not complete a frame around the axis")  # pragma: no cover
+    seed = np.zeros(3)
+    seed[int(np.argmin(np.abs(n)))] = 1.0
+    u = seed - (seed @ n) * n
+    c1 = u / np.linalg.norm(u)
+    return np.column_stack([n, c1, np.cross(n, c1)])
 
 
 def boost_axis(n: Iterable[float], chi: Rapidity) -> LorentzMatrix:

@@ -200,15 +200,3 @@ class MoebiusTransform:
     def inverse(self) -> "MoebiusTransform":
         return MoebiusTransform(self.s.inverse())
 
-
-def moebius_apply(t: MoebiusTransform, q: SpherePoint) -> SpherePoint:
-    return t.apply(q)
-
-
-def moebius_compose(t1: MoebiusTransform, t2: MoebiusTransform) -> MoebiusTransform:
-    """Composition acting as t1 after t2."""
-    return t1.compose(t2)
-
-
-def moebius_invert(t: MoebiusTransform) -> MoebiusTransform:
-    return t.inverse()

@@ -15,11 +15,9 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
-from .decompose import standard_decompose
-from .errors import BadAxis, NotHermitian, WrongComponent
-from .minkowski import (ComponentLabel, FourVector, LorentzMatrix,
+from .errors import NotHermitian, WrongComponent
+from .minkowski import (ComponentLabel, FourVector, LorentzMatrix, _unit_axis,
                         classify_component, validate_lorentz)
 
 _DET_TOL = 1e-9
@@ -46,10 +44,6 @@ _SL2R_GEN = np.stack([
 _SL2R_GEN.setflags(write=False)
 
 _ETA3 = np.array([-1.0, 1.0, 1.0])
-
-# Conjugating by diag(-1, 1, 1) converts between the tau spatial basis and
-# the plain Pauli basis (they differ by the sign of the first axis).
-_AXIS_FLIP = np.diag([-1.0, 1.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -236,24 +230,10 @@ def sl2r_to_so21(s: SL2RElement) -> np.ndarray:
 
 def su2_from_axis_angle(n: Iterable[float], phi: float) -> SU2Element:
     """cos(phi/2) I - i sin(phi/2) (n . sigma); covers the rotation R(n, phi)."""
-    n = np.asarray(n, dtype=float).reshape(3)
-    if abs(float(n @ n) - 1.0) > 2e-12:
-        raise BadAxis(f"axis must be a unit 3-vector, |n|^2 = {float(n @ n)!r}")
+    n = _unit_axis(n)
     half = 0.5 * phi
     c, s = math.cos(half), math.sin(half)
     return SU2Element(complex(c, -n[2] * s), complex(-n[1] * s, -n[0] * s))
-
-
-def _su2_covering_spatial_rotation(r: np.ndarray) -> np.ndarray:
-    """2x2 unitary U with sl2c_to_lorentz(U) embedding the rotation r.
-
-    The tau spatial basis differs from the Pauli basis by the sign of the
-    first axis, so the required U is the Pauli-basis cover of the
-    axis-flipped conjugate of r; its unit quaternion supplies U directly.
-    """
-    q = Rotation.from_matrix(_AXIS_FLIP @ r @ _AXIS_FLIP).as_quat()  # x, y, z, w
-    return q[3] * np.eye(2, dtype=complex) - 1j * (
-        q[0] * SIGMA1 + q[1] * SIGMA2 + q[2] * SIGMA3)
 
 
 def _canonical_sign(s: SL2CElement) -> SL2CElement:
@@ -273,16 +253,19 @@ def _canonical_sign(s: SL2CElement) -> SL2CElement:
 def lift_lorentz_to_sl2c(lam: LorentzMatrix) -> SL2CElement:
     """One of the two preimages of a proper orthochronous matrix under the cover.
 
-    Factors the input as rotation . standard boost . rotation, lifts each
-    factor, and multiplies.  The sign of the result is canonicalized; the
-    other preimage is its negative.
+    Closed form from the identity
+    sum_{mu nu} lam_{mu nu} tau_mu tau_k tau_nu = 2 tr(s-dagger tau_k) s,
+    so each M_k on the left is a multiple of s, and s = M_k / sqrt(det M_k).
+    A single k can fail: the coefficient tr(s-dagger tau_k) vanishes for
+    some s (k = 0 at the half-turn diag(-i, i)).  The four coefficients
+    are the tau-basis components of s, whose squared moduli sum to
+    2 |s|_F^2 >= 4, so the k with the largest |det M_k| = 4 |tr(s-dagger tau_k)|^2
+    has |det M_k| >= 4 and is the best conditioned.  The sign of the result
+    is canonicalized; the other preimage is its negative.
     """
     if classify_component(lam) is not ComponentLabel.PROPER_ORTHOCHRONOUS:
         raise WrongComponent("only proper orthochronous matrices have a spinor lift")
-    dec = standard_decompose(lam)
-    half = 0.5 * dec.chi
-    boost = np.array([[math.cosh(half), math.sinh(half)],
-                      [math.sinh(half), math.cosh(half)]], dtype=complex)
-    m = (_su2_covering_spatial_rotation(dec.r1) @ boost
-         @ _su2_covering_spatial_rotation(dec.r2))
-    return _canonical_sign(SL2CElement.from_matrix(m))
+    m = np.einsum("mn,mab,kbc,ncd->kad", lam.entries, TAU, TAU, TAU)
+    det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
+    k = int(np.argmax(np.abs(det)))
+    return _canonical_sign(SL2CElement.from_matrix(m[k] / np.sqrt(det[k])))

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,3 +183,9 @@ def test_render_ppm_format(tmp_path, capsys, monkeypatch):
         "--format", "ppm", "--width", "64", "--height", "48"])
     assert code == 0
     assert out_file.read_bytes().startswith(b"P6\n64 48\n255\n")
+
+
+def test_package_imports_without_scipy():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = "import lorentzsky.cli, sys; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

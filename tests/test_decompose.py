@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -70,6 +71,18 @@ def test_round_trip_random(rng):
         assert d.chi >= 0.0
         assert np.abs(recompose(d).entries - lam.entries).max() <= 1e-9
         assert math.cosh(d.chi) == pytest.approx(lam.entries[0, 0], abs=1e-9)
+
+
+@pytest.mark.parametrize("t, chi", itertools.product((1e-7, 1e-6, 2e-6, 1e-5),
+                                                     (0.5, 1.0, 2.0)))
+def test_round_trip_boost_near_coordinate_plane(t, chi):
+    # Axes this close to the x3 = 0 plane once lost orthogonality while
+    # completing the frame around e1 and raised a plain ValueError.
+    n = np.array([0.6, -0.8, t])
+    lam = boost_axis(n / np.linalg.norm(n), chi)
+    d = standard_decompose(lam)
+    assert d.chi == pytest.approx(chi, abs=1e-9)
+    assert np.abs(recompose(d).entries - lam.entries).max() <= 1e-9
 
 
 def test_rapidity_of_examples(rng):

@@ -7,8 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lorentzsky import (MoebiusTransform, PolarAngles, SpherePoint, antipode,
-                        from_polar, inverse_stereo, moebius_apply,
-                        moebius_compose, moebius_invert, sphere_metric_factor,
+                        from_polar, inverse_stereo, sphere_metric_factor,
                         stereo_project, to_polar)
 from lorentzsky.errors import InfinityPoint, NotOnSphere
 from lorentzsky.sampling import random_sl2c
@@ -94,7 +93,7 @@ def test_from_complex_handles_large_values():
 def test_moebius_examples():
     ident = MoebiusTransform.identity()
     q = SpherePoint.from_complex(0.3 - 0.8j)
-    assert moebius_apply(ident, q) == q
+    assert ident.apply(q) == q
 
     chi = 1.3
     dil = MoebiusTransform.dilation(chi)
@@ -120,19 +119,19 @@ def test_moebius_compose_and_invert(rng):
         t1 = MoebiusTransform(random_sl2c(rng))
         t2 = MoebiusTransform(random_sl2c(rng))
         q = SpherePoint.from_complex(complex(*rng.normal(size=2)))
-        lhs = moebius_apply(moebius_compose(t1, t2), q)
-        rhs = moebius_apply(t1, moebius_apply(t2, q))
+        lhs = t1.compose(t2).apply(q)
+        rhs = t1.apply(t2.apply(q))
         assert lhs.distance_to(rhs) <= 1e-10
-        ident = moebius_compose(t1, moebius_invert(t1))
-        assert moebius_apply(ident, q).distance_to(q) <= 1e-10
+        ident = t1.compose(t1.inverse())
+        assert ident.apply(q).distance_to(q) <= 1e-10
 
 
 def test_dilation_additivity_and_rotation_translation_example():
-    d = moebius_compose(MoebiusTransform.dilation(0.4), MoebiusTransform.dilation(0.9))
+    d = MoebiusTransform.dilation(0.4).compose(MoebiusTransform.dilation(0.9))
     assert np.abs(d.s.matrix - MoebiusTransform.dilation(1.3).s.matrix).max() < 1e-12
 
     theta, b = 0.6, 0.25 - 0.5j
-    t = moebius_compose(MoebiusTransform.rotation(theta), MoebiusTransform.translation(b))
+    t = MoebiusTransform.rotation(theta).compose(MoebiusTransform.translation(b))
     assert t.apply_complex(0.0) == pytest.approx(b * cmath.exp(-1j * theta))
 
 

@@ -1,11 +1,12 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from lorentzsky import (ComponentLabel, FourVector, HermitianSlot,
-                        SL2CElement, SL2RElement, SU2Element, apply,
+                        SL2CElement, SL2RElement, SU2Element,
                         boost_axis, classify_component,
                         four_vector_from_hermitian, hermitian_from_four_vector,
                         interval_squared, lift_lorentz_to_sl2c, parity,
@@ -151,7 +152,7 @@ def test_adjoint_consistency(rng):
         s = random_sl2c(rng)
         x = FourVector.from_array(rng.normal(size=4))
         lam = sl2c_to_lorentz(s)
-        lhs = hermitian_from_four_vector(apply(lam, x)).matrix
+        lhs = hermitian_from_four_vector(lam.apply(x)).matrix
         rhs = s.matrix @ hermitian_from_four_vector(x).matrix @ s.matrix.conj().T
         assert np.abs(lhs - rhs).max() <= 1e-9
 
@@ -324,6 +325,28 @@ def test_lift_section_property(rng):
         err = min(np.abs(s.matrix - s0.matrix).max(),
                   np.abs(s.matrix + s0.matrix).max())
         assert err <= 1e-8
+
+
+@pytest.mark.parametrize("m", [
+    np.diag([-1j, 1j]),                      # trace zero: the k = 0 slot vanishes
+    np.array([[0, 1j], [1j, 0]]),
+    np.array([[0, -1], [1, 0]]),
+], ids=["diag", "offdiag-imag", "offdiag-real"])
+def test_lift_half_turns_up_to_sign(m):
+    s0 = SL2CElement.from_matrix(m)
+    s = lift_lorentz_to_sl2c(sl2c_to_lorentz(s0))
+    err = min(np.abs(s.matrix - s0.matrix).max(),
+              np.abs(s.matrix + s0.matrix).max())
+    assert err <= 1e-8
+
+
+@pytest.mark.parametrize("t, chi", itertools.product((1e-7, 1e-6, 2e-6, 1e-5),
+                                                     (0.5, 1.0, 2.0)))
+def test_lift_boost_near_coordinate_plane(t, chi):
+    n = np.array([0.6, -0.8, t])
+    lam = boost_axis(n / np.linalg.norm(n), chi)
+    s = lift_lorentz_to_sl2c(lam)
+    assert np.abs(sl2c_to_lorentz(s).entries - lam.entries).max() <= 1e-8
 
 
 def test_lift_rejects_other_components():
