@@ -12,22 +12,18 @@ from pathlib import Path
 
 import numpy as np
 
-from lorentzsky import (RenderSpec, StarRecord, render, to_polar,
-                        transform_catalog)
+from lorentzsky import Catalog, RenderSpec, render, transform_catalog
 
 
-def synthetic_catalog(n: int, seed: int) -> list[StarRecord]:
+def synthetic_catalog(n: int, seed: int) -> Catalog:
     rng = np.random.default_rng(seed)
-    stars = []
-    for i in range(n):
-        stars.append(StarRecord(
-            name=f"star{i:05d}",
-            ra_deg=float(rng.uniform(0.0, 360.0)),
-            dec_deg=float(math.degrees(math.asin(rng.uniform(-1.0, 1.0)))),
-            vmag=float(rng.uniform(0.0, 6.5)),
-            temp_k=float(rng.choice([3200, 4500, 5800, 7200, 9800, 15000, 25000])),
-        ))
-    return stars
+    return Catalog(
+        names=[f"star{i:05d}" for i in range(n)],
+        ra_deg=rng.uniform(0.0, 360.0, n),
+        dec_deg=np.degrees(np.arcsin(rng.uniform(-1.0, 1.0, n))),
+        vmag=rng.uniform(0.0, 6.5, n),
+        temp_k=rng.choice([3200.0, 4500.0, 5800.0, 7200.0, 9800.0, 15000.0, 25000.0], n),
+    )
 
 
 def main() -> None:
@@ -52,15 +48,15 @@ def main() -> None:
     (outdir / "sky_before.ppm").write_bytes(render(before, raster))
     (outdir / "sky_after.ppm").write_bytes(render(after, raster))
 
-    forward_before = sum(1 for t in before if to_polar(t.q_after).theta < math.pi / 2)
-    forward_after = sum(1 for t in after if to_polar(t.q_after).theta < math.pi / 2)
-    mean_doppler = sum(t.doppler for t in after) / len(after)
-    brightest = min(after, key=lambda t: t.vmag_after)
+    # A direction (z1 : z2) lies in the forward hemisphere when |z1| < |z2|.
+    forward_before = int((np.abs(before.z1) < np.abs(before.z2)).sum())
+    forward_after = int((np.abs(after.z1) < np.abs(after.z2)).sum())
+    brightest = int(np.argmin(after.vmag))
     print(f"chi = {args.chi:.6f} (v = {math.tanh(args.chi):.4f} c)")
     print(f"stars in the forward hemisphere: {forward_before} -> {forward_after}")
-    print(f"mean Doppler factor: {mean_doppler:.4f}")
-    print(f"brightest star after the boost: {brightest.source.name} "
-          f"vmag {brightest.vmag_after:+.2f}, T = {brightest.temp_after:.0f} K")
+    print(f"mean Doppler factor: {after.doppler.mean():.4f}")
+    print(f"brightest star after the boost: {after.names[brightest]} "
+          f"vmag {after.vmag[brightest]:+.2f}, T = {after.temp_k[brightest]:.0f} K")
     print(f"images written to {outdir}/")
 
 

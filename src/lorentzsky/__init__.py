@@ -13,8 +13,8 @@ from .celestial import (AsymptoticAction, BondiPoint, Photon4Momentum,
 from .decompose import StandardDecomposition, rapidity_of, recompose, standard_decompose
 from .errors import (BadAxis, InfinityPoint, LorentzSkyError, NotHermitian,
                      NotLorentz, NotNull, NotOnSphere, NotOrthochronous,
-                     OriginDirectionUndefined, ParseError, RangeError,
-                     SpeedLimit, WrongComponent)
+                     OriginDirectionUndefined, ParseError, PrecisionLimit,
+                     RangeError, SpeedLimit, WrongComponent)
 from .minkowski import (ComponentLabel, FourVector, LorentzMatrix, METRIC,
                         PoincareTransform, Rapidity, add_velocities,
                         boost_axis, boost_x, classify_component, gamma,
@@ -30,7 +30,7 @@ from .spin import (HermitianSlot, SL2CElement, SL2RElement, SU2Element,
                    four_vector_from_hermitian, hermitian_from_four_vector,
                    lift_lorentz_to_sl2c, sl2c_to_lorentz, sl2r_to_so21,
                    su2_from_axis_angle, su2_to_so3)
-from .starfield import (StarRecord, TransformedStar, catalog_to_csv,
-                        load_catalog, transform_catalog)
+from .starfield import (BoostedCatalog, Catalog, catalog_to_csv, load_catalog,
+                        transform_catalog)
 
 __version__ = "0.1.0"

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (NotNull, NotOrthochronous, OriginDirectionUndefined)
+from .errors import NotNull, NotOrthochronous, OriginDirectionUndefined, RangeError
 from .minkowski import FourVector, LorentzMatrix, Rapidity, interval_squared
 from .sphere import MoebiusTransform, SpherePoint, inverse_stereo, stereo_project
 from .spin import SL2CElement
@@ -92,6 +92,17 @@ def act_asymptotic(s: SL2CElement) -> AsymptoticAction:
     return AsymptoticAction(MoebiusTransform(s))
 
 
+def _exp_rapidity(chi: Rapidity) -> tuple[float, float]:
+    """(e^chi, e^-chi); RangeError when chi is not finite or either overflows."""
+    if not math.isfinite(chi):
+        raise RangeError(f"rapidity must be finite, got {chi!r}")
+    try:
+        return math.exp(chi), math.exp(-chi)
+    except OverflowError:
+        raise RangeError(f"rapidity {chi!r} is out of range: e^|chi| overflows "
+                         "a double") from None
+
+
 def aberrate(chi: Rapidity, theta: float) -> float:
     """Apparent colatitude after a boost of rapidity chi toward theta = 0.
 
@@ -101,10 +112,11 @@ def aberrate(chi: Rapidity, theta: float) -> float:
     """
     if not 0.0 <= theta <= math.pi:
         raise ValueError(f"theta = {theta} outside [0, pi]")
+    exp_neg = _exp_rapidity(chi)[1]
     if theta == math.pi:
         return math.pi
     half = 0.5 * theta
-    return 2.0 * math.atan2(math.exp(-chi) * math.sin(half), math.cos(half))
+    return 2.0 * math.atan2(exp_neg * math.sin(half), math.cos(half))
 
 
 def doppler(chi: Rapidity, theta: float) -> float:
@@ -117,11 +129,11 @@ def doppler(chi: Rapidity, theta: float) -> float:
     """
     if not 0.0 <= theta <= math.pi:
         raise ValueError(f"theta = {theta} outside [0, pi]")
+    exp_pos, exp_neg = _exp_rapidity(chi)
     if chi == 0.0:
         return 1.0
     half = 0.5 * theta
-    return (math.exp(chi) * math.cos(half) ** 2
-            + math.exp(-chi) * math.sin(half) ** 2)
+    return exp_pos * math.cos(half) ** 2 + exp_neg * math.sin(half) ** 2
 
 
 @dataclass(frozen=True)

@@ -112,10 +112,7 @@ def _cmd_mobius(args: argparse.Namespace) -> int:
     if not isinstance(payload, dict):
         raise LorentzSkyError("expected a JSON object with keys a, b, c, d, points")
     coeffs = {k: _complex_from_json(payload.get(k), k) for k in "abcd"}
-    try:
-        mob = MoebiusTransform(SL2CElement(**coeffs))
-    except ValueError as exc:
-        raise LorentzSkyError(str(exc)) from None
+    mob = MoebiusTransform(SL2CElement(**coeffs))  # a ValueError exits 1 in cli_main
     points = payload.get("points")
     if not isinstance(points, list):
         raise LorentzSkyError('"points" must be a list of [re, im] pairs or "inf"')
@@ -150,28 +147,22 @@ def _cmd_aberrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    stars = load_catalog(args.input)
-    transformed = transform_catalog(stars, args.chi)
+    # The spec first: a bad size is refused before the catalog is read.
     spec = RenderSpec(projection=args.projection, width=args.width,
                       height=args.height, format=args.format,
                       hemisphere=args.hemisphere)
-    try:
-        image = render(transformed, spec)
-    except ValueError as exc:
-        raise LorentzSkyError(str(exc)) from None
-    Path(args.out).write_bytes(image)
+    sky = transform_catalog(load_catalog(args.input), args.chi)
+    Path(args.out).write_bytes(render(sky, spec))
     if args.json:
+        doppler, temp_k, vmag = ([float(_fmt(v)) for v in col.tolist()]
+                                 for col in (sky.doppler, sky.temp_k, sky.vmag))
         payload = {
             "out": args.out,
-            "count": len(transformed),
-            "stars": [{
-                "name": t.source.name,
-                "doppler": t.doppler,
-                "temp_k": t.temp_after,
-                "vmag": t.vmag_after,
-            } for t in transformed],
+            "count": len(sky),
+            "stars": [{"name": name, "doppler": d, "temp_k": t, "vmag": v}
+                      for name, d, t, v in zip(sky.names, doppler, temp_k, vmag)],
         }
-        sys.stdout.write(json.dumps(_round12(payload)) + "\n")
+        sys.stdout.write(json.dumps(payload) + "\n")
     return 0
 
 
@@ -237,13 +228,7 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except LorentzSkyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (LorentzSkyError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -8,8 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import WrongComponent
-from .minkowski import (ComponentLabel, LorentzMatrix, Rapidity, _frame_taking_e1_to,
-                        boost_x, classify_component, rotation_embed)
+from .minkowski import (ComponentLabel, LorentzMatrix, Rapidity, _cross,
+                        _frame_taking_e1_to, boost_x, classify_component,
+                        rotation_embed)
 
 _ROTATION_TOL = 1e-10
 _PURE_ROTATION_THRESHOLD = 1e-12
@@ -77,7 +78,7 @@ def standard_decompose(lam: LorentzMatrix) -> StandardDecomposition:
     mu = mu / np.linalg.norm(mu)
     nu = nu - (nu @ mu) * mu
     nu = nu / np.linalg.norm(nu)
-    f1 = np.cross(mu, nu)
+    f1 = _cross(mu, nu)
     rbar2 = np.column_stack([f1, mu, nu])      # columns
     emb2 = np.eye(4)
     emb2[1:, 1:] = rbar2

@@ -59,5 +59,9 @@ class ParseError(LorentzSkyError):
 
 
 class RangeError(LorentzSkyError):
-    """A catalog value is outside its permitted range."""
+    """An input value (catalog field, rapidity, image size) is outside its permitted range."""
+
+
+class PrecisionLimit(LorentzSkyError):
+    """Double-precision rounding would exceed the tolerance a result promises."""
 

@@ -117,10 +117,6 @@ class LorentzMatrix:
         object.__setattr__(self, "entries", m)
         object.__setattr__(self, "residual", residual)
 
-    @property
-    def det(self) -> float:
-        return float(np.linalg.det(self.entries))
-
     def component(self) -> ComponentLabel:
         return classify_component(self)
 
@@ -149,12 +145,16 @@ def validate_lorentz(m: np.ndarray | Iterable[Iterable[float]],
 def classify_component(lam: LorentzMatrix) -> ComponentLabel:
     """Component from the signs of det and of the 0-0 entry.
 
-    The determinant sign is resolvable while the condition number e^(2 chi)
-    stays below 1/eps, i.e. rapidity below ~17; beyond that double
-    precision cannot distinguish the components at all.
+    The determinant sign is read as sign(lam_00) * sign(det of the spatial
+    3x3 block): lam^-1 = eta lam^T eta, and comparing the 0-0 entries gives
+    det lam[1:, 1:] = det lam * lam_00, of magnitude at least 1.  The block
+    has condition number ~cosh(chi), against e^(2 chi) for the 4x4
+    determinant, which reads 0 from rapidity ~17 on; the block keeps the
+    sign resolvable at least to chi = 34.
     """
-    proper = lam.det > 0
-    orthochronous = lam.entries[0, 0] > 0
+    m = lam.entries
+    orthochronous = m[0, 0] > 0
+    proper = (float(m[1, 1:] @ _cross(m[2, 1:], m[3, 1:])) > 0) == orthochronous
     if proper:
         return (ComponentLabel.PROPER_ORTHOCHRONOUS if orthochronous
                 else ComponentLabel.PROPER_ANTICHRONOUS)
@@ -238,6 +238,13 @@ def rotation_about_axis(n: Iterable[float], chi_or_angle: float) -> np.ndarray:
     return np.eye(3) + s * k + (1.0 - c) * (k @ k)
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b for 3-vectors: the products np.cross forms, without its ~30 us overhead."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def _frame_taking_e1_to(n: np.ndarray) -> np.ndarray:
     """A rotation with first column the unit vector n.
 
@@ -249,7 +256,7 @@ def _frame_taking_e1_to(n: np.ndarray) -> np.ndarray:
     seed[int(np.argmin(np.abs(n)))] = 1.0
     u = seed - (seed @ n) * n
     c1 = u / np.linalg.norm(u)
-    return np.column_stack([n, c1, np.cross(n, c1)])
+    return np.column_stack([n, c1, _cross(n, c1)])
 
 
 def boost_axis(n: Iterable[float], chi: Rapidity) -> LorentzMatrix:

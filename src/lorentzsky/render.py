@@ -2,7 +2,9 @@
 
 Byte-identical output for identical inputs: all coordinates are emitted
 with fixed formatting and the raster path uses integer arithmetic only
-after a single rounding step.  Stars are discs; radius follows a linear
+after a single rounding step.  Every stage works on whole columns; the
+arithmetic is that of the per-star formulas, so the bytes are the same as
+drawing one star at a time.  Stars are discs; radius follows a linear
 ramp in magnitude (6.0 mag -> 1 px, 0.0 mag -> 6 px, clamped) and fill
 color comes from a fixed 16-entry blackbody table with linear
 interpolation.
@@ -10,14 +12,15 @@ interpolation.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO
 
 import numpy as np
 
-from .starfield import TransformedStar
+from .errors import RangeError
+from .sphere import _INFINITY_EPS
+from .starfield import BoostedCatalog
 
 _MARGIN = 8
 _PROJECTIONS = ("stereographic", "orthographic")
@@ -25,6 +28,13 @@ _FORMATS = ("svg", "ppm")
 _HEMISPHERES = ("north", "south", "both")
 
 _BACKGROUND = (0, 0, 0)
+# The raster's per-pixel arrays scale with the image, so its size is capped.
+_MAX_PIXELS = 4096 * 4096
+# Discs rasterised together; a chunk's temporaries hold _CHUNK x 17 x 17 values.
+_CHUNK = 1024
+# Pixel offsets across a disc's bounding box: ceil(x + r + 1) - floor(x - r - 1)
+# is below 2 r + 4 <= 16 up to rounding, so a box spans at most 17 pixels.
+_BOX = np.arange(17)
 
 # Blackbody temperature -> sRGB, sampled once and frozen; linearly
 # interpolated and clamped at the ends.
@@ -46,11 +56,14 @@ _BLACKBODY_RGB = (
     (29000.0, (160, 191, 255)),
     (31000.0, (158, 190, 255)),
 )
+_BLACKBODY_T = np.array([t for t, _ in _BLACKBODY_RGB])
+_BLACKBODY_C = np.array([c for _, c in _BLACKBODY_RGB], dtype=float)
 
 
 @dataclass(frozen=True)
 class RenderSpec:
-    """Image parameters; width and height in pixels, at least 16 each."""
+    """Image parameters; width and height in pixels, at least 16 each and
+    at most 4096 x 4096 pixels in all."""
 
     projection: str = "stereographic"
     width: int = 800
@@ -60,67 +73,70 @@ class RenderSpec:
 
     def __post_init__(self):
         if self.projection not in _PROJECTIONS:
-            raise ValueError(f"projection must be one of {_PROJECTIONS}")
+            raise RangeError(f"projection must be one of {_PROJECTIONS}")
         if self.format not in _FORMATS:
-            raise ValueError(f"format must be one of {_FORMATS}")
+            raise RangeError(f"format must be one of {_FORMATS}")
         if self.hemisphere not in _HEMISPHERES:
-            raise ValueError(f"hemisphere must be one of {_HEMISPHERES}")
+            raise RangeError(f"hemisphere must be one of {_HEMISPHERES}")
         if self.width < 16 or self.height < 16:
-            raise ValueError("width and height must be at least 16 pixels")
+            raise RangeError("width and height must be at least 16 pixels")
+        if self.width * self.height > _MAX_PIXELS:
+            raise RangeError(f"{self.width} x {self.height} pixels exceeds the "
+                             f"limit of {_MAX_PIXELS} (4096 x 4096)")
 
 
-def blackbody_rgb(temp_k: float) -> tuple[int, int, int]:
-    """Interpolated disc color for a blackbody of the given temperature."""
-    table = _BLACKBODY_RGB
-    if temp_k <= table[0][0]:
-        return table[0][1]
-    if temp_k >= table[-1][0]:
-        return table[-1][1]
-    for (t0, c0), (t1, c1) in zip(table, table[1:]):
-        if t0 <= temp_k <= t1:
-            frac = (temp_k - t0) / (t1 - t0)
-            return tuple(int(round(a + frac * (b - a))) for a, b in zip(c0, c1))
-    raise AssertionError("unreachable")  # pragma: no cover
+def blackbody_rgb(temp_k) -> np.ndarray:
+    """Disc colors, uint8 rows (r, g, b), for blackbodies of the given temperatures.
+
+    Linear between the table's samples, rounded half to even as Python's
+    round(), and clamped at the table's ends.
+    """
+    t = np.clip(np.asarray(temp_k, dtype=float), _BLACKBODY_T[0], _BLACKBODY_T[-1])
+    hi = np.clip(np.searchsorted(_BLACKBODY_T, t), 1, len(_BLACKBODY_T) - 1)
+    lo = hi - 1
+    frac = (t - _BLACKBODY_T[lo]) / (_BLACKBODY_T[hi] - _BLACKBODY_T[lo])
+    c0, c1 = _BLACKBODY_C[lo], _BLACKBODY_C[hi]
+    return np.rint(c0 + frac[..., None] * (c1 - c0)).astype(np.uint8)
 
 
-def disc_radius_px(vmag: float) -> float:
+def disc_radius_px(vmag):
     """Linear ramp 6.0 mag -> 1 px, 0.0 mag -> 6 px, clamped to [1, 6]."""
-    return min(6.0, max(1.0, 1.0 + (6.0 - vmag) * (5.0 / 6.0)))
+    return np.clip(1.0 + (6.0 - np.asarray(vmag, dtype=float)) * (5.0 / 6.0), 1.0, 6.0)
 
 
-def _project_to_panel(star: TransformedStar, projection: str,
-                      hemisphere: str) -> tuple[float, float] | None:
-    """Unit-disc coordinates (u, v) of the star, or None when not drawable.
+def _divide(ar, ai, br, bi):
+    """Real and imaginary parts of a / b, computed as CPython divides complex numbers."""
+    by_real = np.abs(br) >= np.abs(bi)
+    ratio = np.where(by_real, bi / br, br / bi)
+    denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
+    return (np.where(by_real, ar + ai * ratio, ar * ratio + ai) / denom,
+            np.where(by_real, ai - ar * ratio, ai * ratio - ar) / denom)
+
+
+def _project(sky: BoostedCatalog, projection: str, hemisphere: str):
+    """Unit-disc coordinates (u, v) of every star and whether it is drawable.
 
     Stereographic views project through the pole opposite the hemisphere;
-    a star exactly at the excluded pole has no image at all and is
-    reported by the caller as dropped.  Orthographic views simply cull the
-    far hemisphere.
+    a star exactly at the excluded pole has no image, and one beyond the
+    equator lies outside the panel's disc.  Orthographic views simply cull
+    the far hemisphere.  The steps are Python's complex arithmetic written
+    out over the columns, so the coordinates match it bit for bit.
     """
-    q = star.q_after
+    z1r, z1i, z2r, z2i = sky.z1.real, sky.z1.imag, sky.z2.real, sky.z2.imag
     if projection == "stereographic":
-        if hemisphere == "north":
-            if q.is_infinity:
-                return None
-            w = q.z1 / q.z2
-        else:
-            if abs(q.z1) <= 1e-14:
-                return None
-            w = (q.z2 / q.z1).conjugate()
-        if abs(w) > 1.0:
-            return None  # beyond the equator: outside this panel's disc
-        return w.real, w.imag
-    # Orthographic: (x1, x2)/r with the rear hemisphere culled; the south
-    # view is seen from below, mirroring the second axis.
-    w = 2.0 * q.z1 * q.z2.conjugate()
-    x3 = abs(q.z2) ** 2 - abs(q.z1) ** 2
+        if hemisphere == "south":  # w = conj(z2 / z1) = conj(z2) / conj(z1)
+            z1r, z1i, z2r, z2i = z2r, -z2i, z1r, -z1i
+        u, v = _divide(z1r, z1i, z2r, z2i)
+        return u, v, ~(np.hypot(z2r, z2i) <= _INFINITY_EPS) & ~(np.hypot(u, v) > 1.0)
+    # Orthographic: (x1, x2)/r = 2 z1 conj(z2) with the rear hemisphere
+    # culled; the south view is seen from below, mirroring the second axis.
+    # float_power is libm pow, as Python's x ** 2; np.square rounds differently.
+    ar, ai = 2.0 * z1r, 2.0 * z1i
+    u, v = ar * z2r - ai * -z2i, ar * -z2i + ai * z2r
+    x3 = np.float_power(np.hypot(z2r, z2i), 2.0) - np.float_power(np.hypot(z1r, z1i), 2.0)
     if hemisphere == "north":
-        if x3 < 0.0:
-            return None
-        return w.real, w.imag
-    if x3 > 0.0:
-        return None
-    return w.real, -w.imag
+        return u, v, ~(x3 < 0.0)
+    return u, -v, ~(x3 > 0.0)
 
 
 def _panels(spec: RenderSpec) -> list[tuple[str, float, float, float]]:
@@ -134,27 +150,25 @@ def _panels(spec: RenderSpec) -> list[tuple[str, float, float, float]]:
     return [(spec.hemisphere, spec.width / 2.0, spec.height / 2.0, radius)]
 
 
-def _placements(stars: Sequence[TransformedStar], spec: RenderSpec
-                ) -> tuple[list[tuple[float, float, float, tuple[int, int, int]]], int]:
-    """Pixel placements (x, y, radius, rgb) in draw order, plus dropped count."""
-    placed = []
-    dropped = 0
-    for star in stars:
-        seen = False
-        for hemi, cx, cy, scale in _panels(spec):
-            uv = _project_to_panel(star, spec.projection, hemi)
-            if uv is None:
-                continue
-            seen = True
-            placed.append((cx + scale * uv[0], cy - scale * uv[1],
-                           disc_radius_px(star.vmag_after),
-                           blackbody_rgb(star.temp_after)))
-        if not seen:
-            dropped += 1
-    return placed, dropped
+def _placements(sky: BoostedCatalog, spec: RenderSpec
+                ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], int]:
+    """Discs (x, y, radius, rgb rows) in draw order, plus the dropped count.
+
+    Draw order is catalog order, and each star's panels left to right.
+    """
+    panels = _panels(spec)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        views = [_project(sky, spec.projection, hemi) for hemi, _, _, _ in panels]
+        x = np.stack([cx + scale * u for (u, _, _), (_, cx, _, scale) in zip(views, panels)], 1)
+        y = np.stack([cy - scale * v for (_, v, _), (_, _, cy, scale) in zip(views, panels)], 1)
+    shown = np.stack([ok for _, _, ok in views], 1)
+    star = np.nonzero(shown)[0]
+    dropped = len(sky) - int(shown.any(axis=1).sum())
+    return (x[shown], y[shown], disc_radius_px(sky.vmag[star]),
+            blackbody_rgb(sky.temp_k[star])), dropped
 
 
-def render(stars: Sequence[TransformedStar], spec: RenderSpec,
+def render(sky: BoostedCatalog, spec: RenderSpec,
            diagnostics: IO[str] | None = None) -> bytes:
     """Render the star field to image bytes (SVG text or binary PPM).
 
@@ -162,7 +176,7 @@ def render(stars: Sequence[TransformedStar], spec: RenderSpec,
     visible hemisphere) are dropped; their count goes to ``diagnostics``
     (stderr by default) when non-zero.
     """
-    placed, dropped = _placements(stars, spec)
+    placed, dropped = _placements(sky, spec)
     if dropped:
         out = diagnostics if diagnostics is not None else sys.stderr
         print(f"dropped {dropped} star(s) not representable in this projection",
@@ -183,25 +197,38 @@ def _render_svg(placed, spec: RenderSpec) -> bytes:
     for _, cx, cy, radius in _panels(spec):
         lines.append(f'<circle cx="{cx:.3f}" cy="{cy:.3f}" r="{radius:.3f}" '
                      'fill="none" stroke="#303030" stroke-width="1"/>')
-    for x, y, rad, rgb in placed:
-        color = "#{:02x}{:02x}{:02x}".format(*rgb)
-        lines.append(f'<circle cx="{x:.3f}" cy="{y:.3f}" r="{rad:.3f}" fill="{color}"/>')
+    x, y, rad, rgb = placed
+    colors = rgb.astype(np.int64) @ np.array([1 << 16, 1 << 8, 1])
+    lines.extend(f'<circle cx="{a:.3f}" cy="{b:.3f}" r="{r:.3f}" fill="#{c:06x}"/>'
+                 for a, b, r, c in zip(x.tolist(), y.tolist(), rad.tolist(), colors.tolist()))
     lines.append("</svg>")
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
 def _render_ppm(placed, spec: RenderSpec) -> bytes:
-    img = np.zeros((spec.height, spec.width, 3), dtype=np.uint8)
-    img[:, :] = _BACKGROUND
-    for x, y, rad, rgb in placed:
-        x0 = max(0, int(math.floor(x - rad - 1)))
-        x1 = min(spec.width - 1, int(math.ceil(x + rad + 1)))
-        y0 = max(0, int(math.floor(y - rad - 1)))
-        y1 = min(spec.height - 1, int(math.ceil(y + rad + 1)))
-        if x1 < x0 or y1 < y0:
-            continue
-        ys, xs = np.mgrid[y0:y1 + 1, x0:x1 + 1]
-        mask = (xs + 0.5 - x) ** 2 + (ys + 0.5 - y) ** 2 <= rad * rad
-        img[y0:y1 + 1, x0:x1 + 1][mask] = rgb
-    header = f"P6\n{spec.width} {spec.height}\n255\n".encode("ascii")
+    """Discs filled where (x + 0.5 - cx)^2 + (y + 0.5 - cy)^2 <= r^2, later discs on top.
+
+    Each pixel takes the color of the last disc covering it: the largest
+    draw index, which np.maximum.at keeps however the pixels repeat.
+    """
+    w, h = spec.width, spec.height
+    x, y, rad, rgb = placed
+    owner = np.full(h * w, -1, dtype=np.int64)
+    for start in range(0, len(x), _CHUNK):
+        cx, cy, r = (a[start:start + _CHUNK, None, None] for a in (x, y, rad))
+        x0 = np.maximum(0, np.floor(cx - r - 1)).astype(np.int64)
+        x1 = np.minimum(w - 1, np.ceil(cx + r + 1)).astype(np.int64)
+        y0 = np.maximum(0, np.floor(cy - r - 1)).astype(np.int64)
+        y1 = np.minimum(h - 1, np.ceil(cy + r + 1)).astype(np.int64)
+        px, py = x0 + _BOX, y0 + _BOX[:, None]
+        # Squared offsets per column and per row; inf outside the box.
+        dx2 = np.where(px <= x1, (px + 0.5 - cx) ** 2, np.inf)
+        dy2 = np.where(py <= y1, (py + 0.5 - cy) ** 2, np.inf)
+        inside = dx2 + dy2 <= r * r
+        disc = np.repeat(np.arange(start, start + len(cx)), inside.sum(axis=(1, 2)))
+        np.maximum.at(owner, (py * w + px)[inside], disc)
+    img = np.full((h * w, 3), _BACKGROUND, dtype=np.uint8)
+    drawn = owner >= 0
+    img[drawn] = rgb[owner[drawn]]
+    header = f"P6\n{w} {h}\n255\n".encode("ascii")
     return header + img.tobytes()

@@ -16,11 +16,13 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import NotHermitian, WrongComponent
+from .errors import NotHermitian, PrecisionLimit, WrongComponent
 from .minkowski import (ComponentLabel, FourVector, LorentzMatrix, _unit_axis,
                         classify_component, validate_lorentz)
 
 _DET_TOL = 1e-9
+# Round-trip tolerance of the spinor lift (acceptance criterion 2).
+_LIFT_TOL = 1e-8
 _HERMITIAN_TOL = 1e-12
 _SU2_NORM_TOL = 1e-10
 
@@ -262,9 +264,16 @@ def lift_lorentz_to_sl2c(lam: LorentzMatrix) -> SL2CElement:
     2 |s|_F^2 >= 4, so the k with the largest |det M_k| = 4 |tr(s-dagger tau_k)|^2
     has |det M_k| >= 4 and is the best conditioned.  The sign of the result
     is canonicalized; the other preimage is its negative.
+
+    Rounding puts the lift's image off by about lam_00 * 2^-52 relative;
+    :class:`PrecisionLimit` is raised where that passes _LIFT_TOL, from
+    rapidity ~18.3 on.
     """
     if classify_component(lam) is not ComponentLabel.PROPER_ORTHOCHRONOUS:
         raise WrongComponent("only proper orthochronous matrices have a spinor lift")
+    if lam.entries[0, 0] * 2.0 ** -52 > _LIFT_TOL:
+        raise PrecisionLimit(f"lam_00 = {lam.entries[0, 0]:.3e}: the lift would be off by "
+                             f"~lam_00 * 2^-52, beyond its tolerance {_LIFT_TOL}")
     m = np.einsum("mn,mab,kbc,ncd->kad", lam.entries, TAU, TAU, TAU)
     det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
     k = int(np.argmax(np.abs(det)))

@@ -6,6 +6,8 @@ axes are reachable by pre-rotating the catalog.  The photometric model is
 deliberately simple: temperature scales with the Doppler factor D
 (blackbody peak) and magnitudes shift by -10 log10 D, the bolometric D^4
 beaming expressed in the 2.5-log magnitude convention.
+
+Catalogs are columns, one float64 array per field, from parse to render.
 """
 
 from __future__ import annotations
@@ -15,71 +17,94 @@ import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Sequence
 
-from .celestial import doppler
+import numpy as np
+
+from .celestial import _exp_rapidity
 from .errors import ParseError, RangeError
 from .minkowski import Rapidity
-from .sphere import MoebiusTransform, PolarAngles, SpherePoint, from_polar
+from .sphere import _NORM_SKIP
 
 _HEADER = ["name", "ra_deg", "dec_deg", "vmag", "temp_k"]
 _DEFAULT_TEMP_K = 5778.0
 
 
-@dataclass(frozen=True)
-class StarRecord:
-    """One catalog entry; angles in degrees, temperature in kelvin."""
+@dataclass(frozen=True, eq=False)
+class Catalog:
+    """Star catalog as columns: names, angles in degrees, temperature in kelvin.
 
-    name: str
-    ra_deg: float
-    dec_deg: float
-    vmag: float
-    temp_k: float = _DEFAULT_TEMP_K
+    Construction copies the columns into float64 arrays and raises
+    :class:`RangeError` naming the first star with a value out of range.
+    """
+
+    names: Sequence[str]
+    ra_deg: np.ndarray
+    dec_deg: np.ndarray
+    vmag: np.ndarray
+    temp_k: np.ndarray
 
     def __post_init__(self):
-        for field_name in ("ra_deg", "dec_deg", "vmag", "temp_k"):
-            v = float(getattr(self, field_name))
-            if not math.isfinite(v):
-                raise RangeError(f"{field_name} must be finite, got {v!r}")
-            object.__setattr__(self, field_name, v)
-        if not 0.0 <= self.ra_deg < 360.0:
-            raise RangeError(f"ra_deg = {self.ra_deg} outside [0, 360)")
-        if not -90.0 <= self.dec_deg <= 90.0:
-            raise RangeError(f"dec_deg = {self.dec_deg} outside [-90, 90]")
-        if self.temp_k <= 0.0:
-            raise RangeError(f"temp_k = {self.temp_k} must be positive")
+        object.__setattr__(self, "names", tuple(self.names))
+        for field in _HEADER[1:]:
+            col = np.array(getattr(self, field), dtype=float)
+            if col.shape != (len(self.names),):
+                raise RangeError(f"{field} has shape {col.shape}, "
+                                 f"expected ({len(self.names)},)")
+            col.setflags(write=False)
+            object.__setattr__(self, field, col)
+        _check_ranges((self.ra_deg, self.dec_deg, self.vmag, self.temp_k),
+                      lambda row: f"star {row} ({self.names[row]})")
 
-    @property
-    def theta(self) -> float:
-        """Colatitude from the +x3 boost axis (dec = 90 maps to theta = 0)."""
-        return math.radians(90.0 - self.dec_deg)
-
-    @property
-    def phi(self) -> float:
-        return math.radians(self.ra_deg)
-
-    def sphere_point(self) -> SpherePoint:
-        return from_polar(PolarAngles(self.theta, self.phi))
+    def __len__(self) -> int:
+        return len(self.names)
 
 
-@dataclass(frozen=True)
-class TransformedStar:
-    """A star before and after the boost, with its shifted photometry."""
+@dataclass(frozen=True, eq=False)
+class BoostedCatalog:
+    """A catalog seen from the boosted frame, as columns in catalog order.
 
-    source: StarRecord
-    q_before: SpherePoint
-    q_after: SpherePoint
-    doppler: float
-    temp_after: float
-    vmag_after: float
+    ``z1``, ``z2`` hold each star's apparent direction as a normalized
+    homogeneous pair (see :class:`~lorentzsky.sphere.SpherePoint`);
+    ``doppler`` is the frequency ratio D, ``temp_k`` the shifted temperature
+    D T and ``vmag`` the shifted magnitude m - 10 log10 D.
+    """
+
+    names: tuple[str, ...]
+    z1: np.ndarray
+    z2: np.ndarray
+    doppler: np.ndarray
+    temp_k: np.ndarray
+    vmag: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.names)
 
 
-def load_catalog(source: str | Path | IO[str]) -> list[StarRecord]:
+def _check_ranges(columns, where) -> None:
+    """RangeError for the first row with a value out of range, named by where(row).
+
+    A row failing several checks reports the first in this order.
+    """
+    ra, dec, vmag, temp = columns
+    checks = [(~np.isfinite(col), col, f"{name} must be finite, got {{!r}}")
+              for name, col in zip(_HEADER[1:], columns)]
+    checks += [(~((ra >= 0.0) & (ra < 360.0)), ra, "ra_deg = {} outside [0, 360)"),
+               (~((dec >= -90.0) & (dec <= 90.0)), dec, "dec_deg = {} outside [-90, 90]"),
+               (~(temp > 0.0), temp, "temp_k = {} must be positive")]
+    bad = np.logical_or.reduce([mask for mask, _, _ in checks])
+    if bad.any():
+        row = int(bad.argmax())
+        reason = next(text.format(float(col[row])) for mask, col, text in checks if mask[row])
+        raise RangeError(f"{where(row)}: {reason}")
+
+
+def load_catalog(source: str | Path | IO[str]) -> Catalog:
     """Parse a CSV catalog with header name,ra_deg,dec_deg,vmag,temp_k.
 
     The temp_k column may be omitted (default 5778).  Malformed rows raise
     :class:`ParseError` with the offending line number; out-of-range values
-    raise :class:`RangeError`.
+    raise :class:`RangeError`.  Either error names the first bad line.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as fh:
@@ -87,7 +112,7 @@ def load_catalog(source: str | Path | IO[str]) -> list[StarRecord]:
     return _parse_catalog(source)
 
 
-def _parse_catalog(stream: IO[str]) -> list[StarRecord]:
+def _parse_catalog(stream: IO[str]) -> Catalog:
     reader = csv.reader(stream)
     try:
         header = next(reader)
@@ -98,59 +123,96 @@ def _parse_catalog(stream: IO[str]) -> list[StarRecord]:
         raise ParseError(1, f"expected header {','.join(_HEADER)} "
                             f"(temp_k optional), got {','.join(header)}")
     n_cols = len(header)
+    pad = () if n_cols == len(_HEADER) else (_DEFAULT_TEMP_K,)
 
-    stars: list[StarRecord] = []
-    for line, row in enumerate(reader, start=2):
-        if not row:
-            continue  # blank line
-        if len(row) != n_cols:
-            raise ParseError(line, f"expected {n_cols} columns, got {len(row)}")
-        name = row[0].strip()
-        if not name:
-            raise ParseError(line, "column name: empty")
-        values = {}
-        for col, text in zip(_HEADER[1:n_cols], row[1:]):
+    names: list[str] = []
+    values: list[float] = []   # the rows' four values, flattened
+    lines: list[int] = []
+    try:
+        for line, row in enumerate(reader, start=2):
+            if not row:
+                continue  # blank line
+            if len(row) != n_cols:
+                raise ParseError(line, f"expected {n_cols} columns, got {len(row)}")
+            name = row[0].strip()
+            if not name:
+                raise ParseError(line, "column name: empty")
             try:
-                values[col] = float(text)
+                values.extend(tuple(map(float, row[1:])) + pad)
             except ValueError:
-                raise ParseError(line, f"column {col}: not a number: {text!r}") from None
-        try:
-            stars.append(StarRecord(name, **values))
-        except RangeError as exc:
-            raise RangeError(f"line {line}: {exc}") from None
-    return stars
+                for col, text in zip(_HEADER[1:], row[1:]):
+                    try:
+                        float(text)
+                    except ValueError:
+                        raise ParseError(line, f"column {col}: not a number: "
+                                               f"{text!r}") from None
+            names.append(name)
+            lines.append(line)
+    except ParseError:
+        _columns(values, lines)  # an out-of-range value on an earlier line comes first
+        raise
+    return Catalog(names, *_columns(values, lines))
 
 
-def transform_catalog(stars: Iterable[StarRecord], chi: Rapidity) -> list[TransformedStar]:
+def _columns(values: list[float], lines: list[int]) -> np.ndarray:
+    """The parsed rows as four columns; RangeError names the first bad row's line."""
+    columns = np.array(values, dtype=float).reshape(-1, 4).T
+    _check_ranges(columns, lambda row: f"line {lines[row]}")
+    return columns
+
+
+def _normalized(z1r, z1i, z2r, z2i):
+    """The pairs (z1 : z2) scaled to unit length, as :class:`SpherePoint` does.
+
+    Pairs already within _NORM_SKIP of unit length are left untouched.  The
+    norm is ``math.hypot`` of the two moduli, mapped over the rows: numpy
+    has no function that rounds like it.
+    """
+    norm = np.fromiter(map(math.hypot, np.hypot(z1r, z1i).tolist(),
+                           np.hypot(z2r, z2i).tolist()), dtype=float, count=len(z1r))
+    norm[np.abs(norm - 1.0) <= _NORM_SKIP] = 1.0
+    return z1r / norm, z1i / norm, z2r / norm, z2i / norm
+
+
+def transform_catalog(catalog: Catalog, chi: Rapidity) -> BoostedCatalog:
     """Boost the whole catalog along +x3 with rapidity chi.
 
-    A pure per-record map; output order equals input order.
+    An order-preserving map over the columns.  It repeats, operation for
+    operation, the per-star chain of :func:`~lorentzsky.sphere.from_polar`,
+    :meth:`MoebiusTransform.dilation` and :func:`~lorentzsky.celestial.doppler`,
+    so every value is bit-identical to that chain's.  Hence libm's pow,
+    hypot and log10 where numpy's vectorised versions round differently.
+    Raises :class:`RangeError` when chi is not finite or the boosted
+    photometry overflows.
     """
-    if not math.isfinite(chi):
-        raise ValueError("chi must be finite")
-    boost = MoebiusTransform.dilation(chi)
-    out: list[TransformedStar] = []
-    for star in stars:
-        q_before = star.sphere_point()
-        q_after = boost.apply(q_before)
-        d = doppler(chi, star.theta)
-        out.append(TransformedStar(
-            source=star,
-            q_before=q_before,
-            q_after=q_after,
-            doppler=d,
-            temp_after=d * star.temp_k,
-            vmag_after=star.vmag - 10.0 * math.log10(d),
-        ))
-    return out
+    exp_pos, exp_neg = _exp_rapidity(chi)
+    half = 0.5 * np.radians(90.0 - catalog.dec_deg)
+    phi = np.radians(catalog.ra_deg)
+    s, c = np.sin(half), np.cos(half)
+    z1r, z1i, z2r, z2i = _normalized(s * np.cos(phi), s * np.sin(phi), c, np.zeros_like(c))
+    shrink = math.exp(-0.5 * chi)   # the dilation's spinor diag(shrink, 1 / shrink)
+    z1r, z1i, z2r, z2i = _normalized(shrink * z1r, shrink * z1i,
+                                     (1.0 / shrink) * z2r, (1.0 / shrink) * z2i)
+    with np.errstate(over="ignore"):  # overflow is checked below
+        if chi == 0.0:
+            doppler = np.ones_like(c)
+        else:
+            # float_power is libm pow, as Python's x ** 2; np.square rounds differently.
+            doppler = exp_pos * np.float_power(c, 2.0) + exp_neg * np.float_power(s, 2.0)
+        temp_k = doppler * catalog.temp_k
+    if not np.isfinite(temp_k).all():
+        raise RangeError(f"rapidity {chi!r} overflows the boosted temperatures")
+    log_d = np.fromiter(map(math.log10, doppler.tolist()), dtype=float, count=len(doppler))
+    return BoostedCatalog(catalog.names, z1r + 1j * z1i, z2r + 1j * z2i,
+                          doppler, temp_k, catalog.vmag - 10.0 * log_d)
 
 
-def catalog_to_csv(stars: Iterable[StarRecord]) -> str:
-    """Serialize records back to the catalog CSV format."""
+def catalog_to_csv(catalog: Catalog) -> str:
+    """Serialize a catalog back to the CSV format."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_HEADER)
-    for s in stars:
-        writer.writerow([s.name, repr(s.ra_deg), repr(s.dec_deg),
-                         repr(s.vmag), repr(s.temp_k)])
+    for row in zip(catalog.names, catalog.ra_deg.tolist(), catalog.dec_deg.tolist(),
+                   catalog.vmag.tolist(), catalog.temp_k.tolist()):
+        writer.writerow([row[0], *map(repr, row[1:])])
     return buf.getvalue()

@@ -12,7 +12,7 @@ from lorentzsky import (BondiPoint, FourVector, MoebiusTransform,
                         parity, rotation_about_axis, rotation_embed,
                         time_reversal)
 from lorentzsky.errors import (NotNull, NotOrthochronous,
-                               OriginDirectionUndefined)
+                               OriginDirectionUndefined, RangeError)
 from lorentzsky.sampling import random_proper_orthochronous, random_sl2c
 from lorentzsky.spin import SL2CElement, sl2c_to_lorentz
 
@@ -252,3 +252,13 @@ def test_boost_photon_preserves_nullness_and_energy(rng):
         out = boost_photon(lam, p)
         assert out.energy > 0
         assert abs(interval_squared(out.p)) <= 1e-9 * out.energy ** 2
+
+
+@pytest.mark.parametrize("chi", [math.nan, math.inf, -math.inf, 1000.0, -1000.0, 710.0])
+def test_unusable_rapidity_raises_range_error(chi):
+    with pytest.raises(RangeError, match="rapidity"):
+        doppler(chi, 0.5)
+    with pytest.raises(RangeError, match="rapidity"):
+        aberrate(chi, 0.5)
+    # e^709 is still a finite double
+    assert math.isfinite(doppler(709.0, math.pi))

@@ -189,3 +189,55 @@ def test_package_imports_without_scipy():
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     code = "import lorentzsky.cli, sys; assert 'scipy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+@pytest.mark.parametrize("chi", ["nan", "inf", "-inf", "1000", "-1000"])
+def test_aberrate_rejects_unusable_rapidity(capsys, monkeypatch, chi):
+    code, out, err = run(capsys, monkeypatch, ["aberrate", f"--chi={chi}", "--theta-deg", "45"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: rapidity")
+
+
+@pytest.mark.parametrize("chi", ["nan", "inf", "-inf", "1000"])
+def test_render_rejects_unusable_rapidity(tmp_path, capsys, monkeypatch, chi):
+    catalog = tmp_path / "stars.csv"
+    catalog.write_text("name,ra_deg,dec_deg,vmag,temp_k\npole,0.0,90.0,2.0,6000\n")
+    code, out, err = run(capsys, monkeypatch, [
+        "render", f"--chi={chi}", "--input", str(catalog), "--out", str(tmp_path / "x.svg"),
+        "--json"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: rapidity")
+    assert not (tmp_path / "x.svg").exists()
+
+
+def test_render_refuses_oversized_image_before_reading(tmp_path, capsys, monkeypatch):
+    # the input does not exist: the size is refused before it is opened
+    code, _, err = run(capsys, monkeypatch, [
+        "render", "--input", str(tmp_path / "none.csv"), "--out", str(tmp_path / "x.ppm"),
+        "--format", "ppm", "--width", "4097", "--height", "4096"])
+    assert code == 1
+    assert err == "error: 4097 x 4096 pixels exceeds the limit of 16777216 (4096 x 4096)\n"
+    code, _, err = run(capsys, monkeypatch, [
+        "render", "--input", str(tmp_path / "none.csv"), "--out", str(tmp_path / "x.ppm"),
+        "--width", "8"])
+    assert code == 1
+    assert err == "error: width and height must be at least 16 pixels\n"
+
+
+def test_render_bad_choices_are_usage_errors(tmp_path, capsys, monkeypatch):
+    for flag, value in (("--projection", "gnomonic"), ("--format", "png"),
+                        ("--hemisphere", "east")):
+        code, _, _ = run(capsys, monkeypatch, [
+            "render", "--input", str(tmp_path / "none.csv"), "--out", str(tmp_path / "x"),
+            flag, value])
+        assert code == 2
+
+
+def test_render_unreadable_input_exits_1(tmp_path, capsys, monkeypatch):
+    # a directory: IsADirectoryError, an OSError that is not FileNotFoundError
+    code, _, err = run(capsys, monkeypatch, [
+        "render", "--input", str(tmp_path), "--out", str(tmp_path / "x.svg")])
+    assert code == 1
+    assert err.startswith("error: ")

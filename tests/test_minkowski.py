@@ -243,3 +243,14 @@ def test_integrate_proper_acceleration_input_checks():
         integrate_proper_acceleration(np.array([0.0, 1.0]), np.array([1.0, math.inf]))
     with pytest.raises(ValueError):
         integrate_proper_acceleration(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("chi", [17.0, 20.0, 25.0, 30.0, 34.0])
+def test_classification_past_the_4x4_determinant_limit(chi):
+    # det of the 4x4 boost reads 0 (or garbage) here in double precision
+    lam = boost_axis((0.6, 0.0, 0.8), chi)
+    assert classify_component(lam) is ComponentLabel.PROPER_ORTHOCHRONOUS
+    assert classify_component(parity() @ lam) is ComponentLabel.IMPROPER_ORTHOCHRONOUS
+    assert classify_component(time_reversal() @ lam) is ComponentLabel.IMPROPER_ANTICHRONOUS
+    assert (classify_component(parity() @ time_reversal() @ lam)
+            is ComponentLabel.PROPER_ANTICHRONOUS)

@@ -1,55 +1,73 @@
 import io
+import math
 
+import numpy as np
 import pytest
 
-from lorentzsky import (RenderSpec, StarRecord, blackbody_rgb, disc_radius_px,
+from lorentzsky import (Catalog, RenderSpec, blackbody_rgb, disc_radius_px,
                         render, transform_catalog)
+from lorentzsky.errors import RangeError
+from lorentzsky.render import _render_ppm
 
 LN2 = 0.6931471805599453
 
 
+def _catalog(*records):
+    return Catalog(*(list(col) for col in zip(*records))) if records \
+        else Catalog([], [], [], [], [])
+
+
 def _stars(*records):
-    return transform_catalog(list(records), 0.0)
+    return transform_catalog(_catalog(*records), 0.0)
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(RangeError):
         RenderSpec(width=8)
-    with pytest.raises(ValueError):
+    with pytest.raises(RangeError):
         RenderSpec(projection="gnomonic")
-    with pytest.raises(ValueError):
+    with pytest.raises(RangeError):
         RenderSpec(format="png")
-    with pytest.raises(ValueError):
+    with pytest.raises(RangeError):
         RenderSpec(hemisphere="east")
 
 
+def test_spec_caps_the_pixel_count():
+    RenderSpec(width=4096, height=4096, format="ppm")
+    RenderSpec(width=16, height=4096 * 256)
+    with pytest.raises(RangeError, match="4097 x 4096 pixels exceeds"):
+        RenderSpec(width=4097, height=4096, format="ppm")
+    with pytest.raises(RangeError):
+        RenderSpec(width=10**9, height=10**9)
+
+
 def test_empty_catalog_renders_background_only():
-    img = render([], RenderSpec())
+    img = render(_stars(), RenderSpec())
     assert img.startswith(b"<?xml")
     assert img.count(b"<circle") == 1      # just the panel rim
-    ppm = render([], RenderSpec(format="ppm", width=32, height=32))
+    ppm = render(_stars(), RenderSpec(format="ppm", width=32, height=32))
     assert ppm.startswith(b"P6\n32 32\n255\n")
     assert len(ppm) == len(b"P6\n32 32\n255\n") + 32 * 32 * 3
 
 
 def test_deterministic_bytes():
-    stars = _stars(StarRecord("A", 15.0, 40.0, 2.0, 7000.0),
-                   StarRecord("B", 200.0, 70.0, 4.5, 3500.0))
+    stars = _stars(("A", 15.0, 40.0, 2.0, 7000.0),
+                   ("B", 200.0, 70.0, 4.5, 3500.0))
     for fmt in ("svg", "ppm"):
         spec = RenderSpec(format=fmt, width=128, height=128)
         assert render(stars, spec) == render(stars, spec)
 
 
 def test_pole_star_is_drawn_at_center():
-    stars = _stars(StarRecord("pole", 123.0, 90.0, 1.0, 6000.0))
+    stars = _stars(("pole", 123.0, 90.0, 1.0, 6000.0))
     img = render(stars, RenderSpec(width=200, height=200)).decode("ascii")
     assert '<circle cx="100.000" cy="100.000"' in img
 
 
 def test_chi_zero_matches_unboosted_render():
-    records = [StarRecord("A", 15.0, 40.0, 2.0, 7000.0),
-               StarRecord("B", 321.0, -10.0, 5.0, 10000.0),
-               StarRecord("C", 200.0, 88.0, 3.0, 25000.0)]
+    records = _catalog(("A", 15.0, 40.0, 2.0, 7000.0),
+                       ("B", 321.0, -10.0, 5.0, 10000.0),
+                       ("C", 200.0, 88.0, 3.0, 25000.0))
     spec = RenderSpec(hemisphere="both", width=256, height=128)
     baseline = render(transform_catalog(records, 0.0), spec)
     boosted = render(transform_catalog(records, LN2), spec)
@@ -58,7 +76,7 @@ def test_chi_zero_matches_unboosted_render():
 
 
 def test_dropped_star_count_goes_to_diagnostics():
-    stars = _stars(StarRecord("south", 0.0, -90.0, 1.0, 6000.0))
+    stars = _stars(("south", 0.0, -90.0, 1.0, 6000.0))
     diag = io.StringIO()
     render(stars, RenderSpec(), diagnostics=diag)
     assert "dropped 1 star(s)" in diag.getvalue()
@@ -69,20 +87,20 @@ def test_dropped_star_count_goes_to_diagnostics():
 
 
 def test_far_hemisphere_is_culled_in_north_view():
-    stars = _stars(StarRecord("south", 10.0, -40.0, 1.0, 6000.0))
+    stars = _stars(("south", 10.0, -40.0, 1.0, 6000.0))
     img = render(stars, RenderSpec(), diagnostics=io.StringIO())
     assert img.count(b"<circle") == 1      # rim only
 
 
 def test_south_view_shows_southern_star():
-    stars = _stars(StarRecord("south", 10.0, -40.0, 1.0, 6000.0))
+    stars = _stars(("south", 10.0, -40.0, 1.0, 6000.0))
     img = render(stars, RenderSpec(hemisphere="south"), diagnostics=io.StringIO())
     assert img.count(b"<circle") == 2
 
 
 def test_orthographic_views_split_hemispheres():
-    north = _stars(StarRecord("n", 0.0, 30.0, 2.0, 6000.0))
-    south = _stars(StarRecord("s", 0.0, -30.0, 2.0, 6000.0))
+    north = _stars(("n", 0.0, 30.0, 2.0, 6000.0))
+    south = _stars(("s", 0.0, -30.0, 2.0, 6000.0))
     spec_n = RenderSpec(projection="orthographic", hemisphere="north")
     spec_s = RenderSpec(projection="orthographic", hemisphere="south")
     assert render(north, spec_n, diagnostics=io.StringIO()).count(b"<circle") == 2
@@ -99,17 +117,38 @@ def test_disc_radius_ramp():
 
 
 def test_blackbody_lookup_interpolates_and_clamps():
-    assert blackbody_rgb(500.0) == blackbody_rgb(1000.0)
-    assert blackbody_rgb(50_000.0) == blackbody_rgb(31_000.0)
-    low, high = blackbody_rgb(3000.0), blackbody_rgb(5000.0)
-    mid = blackbody_rgb(4000.0)
+    def rgb(t):
+        return tuple(blackbody_rgb(t).tolist())
+    assert rgb(500.0) == rgb(1000.0)
+    assert rgb(50_000.0) == rgb(31_000.0)
+    low, high = rgb(3000.0), rgb(5000.0)
+    mid = rgb(4000.0)
     assert all(min(a, b) <= m <= max(a, b) for a, b, m in zip(low, high, mid))
     # cool stars are redder than hot stars
-    assert blackbody_rgb(3000.0)[2] < blackbody_rgb(20_000.0)[2]
+    assert rgb(3000.0)[2] < rgb(20_000.0)[2]
+
+
+def test_blackbody_equals_the_table_loop():
+    """The vectorised lookup against the first-matching-interval loop it replaced."""
+    from lorentzsky.render import _BLACKBODY_RGB as table
+
+    def scalar(temp_k):
+        if temp_k <= table[0][0]:
+            return table[0][1]
+        if temp_k >= table[-1][0]:
+            return table[-1][1]
+        for (t0, c0), (t1, c1) in zip(table, table[1:]):
+            if t0 <= temp_k <= t1:
+                frac = (temp_k - t0) / (t1 - t0)
+                return tuple(int(round(a + frac * (b - a))) for a, b in zip(c0, c1))
+
+    temps = np.concatenate([np.random.default_rng(5).uniform(0.0, 40_000.0, 5000),
+                            [t for t, _ in table], np.arange(500.0, 32_000.0, 250.0)])
+    assert [tuple(c) for c in blackbody_rgb(temps).tolist()] == [scalar(t) for t in temps]
 
 
 def test_ppm_pixels_painted():
-    stars = _stars(StarRecord("pole", 0.0, 90.0, 0.0, 6000.0))
+    stars = _stars(("pole", 0.0, 90.0, 0.0, 6000.0))
     spec = RenderSpec(format="ppm", width=64, height=64)
     img = render(stars, spec)
     header = b"P6\n64 64\n255\n"
@@ -117,3 +156,43 @@ def test_ppm_pixels_painted():
     center = (32 * 64 + 32) * 3
     assert pixels[center:center + 3] != b"\x00\x00\x00"
     assert pixels[:3] == b"\x00\x00\x00"
+
+
+def test_ppm_overlap_takes_the_later_disc():
+    cool = ("cool", 0.0, 89.99, 0.0, 3000.0)
+    hot = ("hot", 180.0, 89.99, 0.0, 25000.0)
+    spec = RenderSpec(format="ppm", width=64, height=64)
+    header = len(b"P6\n64 64\n255\n")
+    center = header + (32 * 64 + 32) * 3
+    for first, last in ((cool, hot), (hot, cool)):
+        img = render(_stars(first, last), spec)
+        assert tuple(img[center:center + 3]) == tuple(blackbody_rgb(last[4]).tolist())
+    assert tuple(blackbody_rgb(3000.0).tolist()) != tuple(blackbody_rgb(25000.0).tolist())
+
+
+def _ppm_disc_loop(placed, spec):
+    """The raster drawn one disc at a time, each over the ones before."""
+    img = np.zeros((spec.height, spec.width, 3), dtype=np.uint8)
+    for x, y, rad, rgb in zip(*(a.tolist() for a in placed)):
+        x0 = max(0, int(math.floor(x - rad - 1)))
+        x1 = min(spec.width - 1, int(math.ceil(x + rad + 1)))
+        y0 = max(0, int(math.floor(y - rad - 1)))
+        y1 = min(spec.height - 1, int(math.ceil(y + rad + 1)))
+        if x1 < x0 or y1 < y0:
+            continue
+        ys, xs = np.mgrid[y0:y1 + 1, x0:x1 + 1]
+        mask = (xs + 0.5 - x) ** 2 + (ys + 0.5 - y) ** 2 <= rad * rad
+        img[y0:y1 + 1, x0:x1 + 1][mask] = rgb
+    return f"P6\n{spec.width} {spec.height}\n255\n".encode("ascii") + img.tobytes()
+
+
+def test_ppm_raster_equals_the_disc_loop(rng):
+    # more discs than one raster chunk, crowded and spilling over every edge
+    n = 2500
+    spec = RenderSpec(format="ppm", width=61, height=47)
+    placed = (rng.uniform(-8.0, 69.0, n), rng.uniform(-8.0, 55.0, n),
+              rng.uniform(1.0, 6.0, n), rng.integers(0, 256, (n, 3), dtype=np.uint8))
+    # half-pixel centres and whole radii put pixel centres exactly on rims
+    placed[0][:200] = np.round(placed[0][:200]) + 0.5
+    placed[2][:200] = np.round(placed[2][:200])
+    assert _render_ppm(placed, spec) == _ppm_disc_loop(placed, spec)

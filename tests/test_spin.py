@@ -12,7 +12,7 @@ from lorentzsky import (ComponentLabel, FourVector, HermitianSlot,
                         interval_squared, lift_lorentz_to_sl2c, parity,
                         rotation_about_axis, sl2c_to_lorentz, sl2r_to_so21,
                         su2_from_axis_angle, su2_to_so3)
-from lorentzsky.errors import BadAxis, NotHermitian, WrongComponent
+from lorentzsky.errors import BadAxis, NotHermitian, PrecisionLimit, WrongComponent
 from lorentzsky.sampling import random_sl2c, random_su2
 
 LN2 = 0.6931471805599453
@@ -359,6 +359,20 @@ def test_lift_survives_large_rapidity():
     s = lift_lorentz_to_sl2c(lam)
     err = np.abs(sl2c_to_lorentz(s).entries - lam.entries).max()
     assert err / float(np.abs(lam.entries).max()) < 1e-10
+
+
+def test_lift_at_rapidity_17_holds_its_tolerance():
+    lam = boost_axis((0.6, 0.0, 0.8), 17.0)
+    s = lift_lorentz_to_sl2c(lam)
+    err = np.abs(sl2c_to_lorentz(s).entries - lam.entries).max()
+    assert err / float(np.abs(lam.entries).max()) <= 1e-8
+
+
+@pytest.mark.parametrize("chi", [20.0, 30.0])
+def test_lift_refuses_past_double_precision(chi):
+    # unguarded, chi = 30 returned an element whose image was 2.6e-4 off
+    with pytest.raises(PrecisionLimit):
+        lift_lorentz_to_sl2c(boost_axis((0.6, 0.0, 0.8), chi))
 
 
 def test_restriction_to_su2_matches_rotation_cover(rng):

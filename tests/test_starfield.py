@@ -1,9 +1,11 @@
 import io
 import math
 
+import numpy as np
 import pytest
 
-from lorentzsky import (StarRecord, catalog_to_csv, load_catalog,
+from lorentzsky import (Catalog, MoebiusTransform, PolarAngles, SpherePoint,
+                        catalog_to_csv, doppler, from_polar, load_catalog,
                         to_polar, transform_catalog)
 from lorentzsky.errors import ParseError, RangeError
 
@@ -12,23 +14,39 @@ LN2 = 0.6931471805599453
 HEADER = "name,ra_deg,dec_deg,vmag,temp_k\n"
 
 
+def _catalog(*rows):
+    """Catalog from (name, ra_deg, dec_deg, vmag[, temp_k]) rows; temp defaults to 5778."""
+    rows = [row if len(row) == 5 else (*row, 5778.0) for row in rows]
+    return Catalog(*(list(col) for col in zip(*rows))) if rows else Catalog([], [], [], [], [])
+
+
+def _points(sky):
+    return [SpherePoint(z1, z2) for z1, z2 in zip(sky.z1.tolist(), sky.z2.tolist())]
+
+
+def _unboosted_point(catalog, i):
+    """The star's direction by the scalar chain, colatitude from +x3."""
+    return from_polar(PolarAngles(math.radians(90.0 - float(catalog.dec_deg[i])),
+                                  math.radians(float(catalog.ra_deg[i]))))
+
+
 def test_header_only_catalog_is_empty():
-    assert load_catalog(io.StringIO(HEADER)) == []
+    assert len(load_catalog(io.StringIO(HEADER))) == 0
 
 
 def test_single_row_parses_with_expected_colatitude():
     stars = load_catalog(io.StringIO(HEADER + "Polaris,37.95,89.26,1.98,7000\n"))
     assert len(stars) == 1
-    star = stars[0]
-    assert star.name == "Polaris"
-    assert star.temp_k == 7000.0
-    assert star.theta == pytest.approx(math.radians(90.0 - 89.26), abs=1e-15)
-    assert star.theta == pytest.approx(0.0129154, abs=1e-7)
+    assert stars.names == ("Polaris",)
+    assert stars.temp_k[0] == 7000.0
+    (q,) = _points(transform_catalog(stars, 0.0))
+    assert to_polar(q).theta == pytest.approx(math.radians(90.0 - 89.26), abs=1e-15)
+    assert to_polar(q).theta == pytest.approx(0.0129154, abs=1e-7)
 
 
 def test_temp_column_is_optional():
     stars = load_catalog(io.StringIO("name,ra_deg,dec_deg,vmag\nVega,279.23,38.78,0.03\n"))
-    assert stars[0].temp_k == 5778.0
+    assert stars.temp_k[0] == 5778.0
 
 
 def test_malformed_rows_raise_parse_error():
@@ -55,86 +73,136 @@ def test_out_of_range_values_raise_range_error():
     with pytest.raises(RangeError):
         load_catalog(io.StringIO(HEADER + "A,10,0,3,-5\n"))
     with pytest.raises(RangeError):
-        StarRecord("A", 0.0, 0.0, 0.0, 0.0)
+        _catalog(("A", 0.0, 0.0, 0.0, 0.0))
+
+
+def test_errors_name_the_first_bad_line():
+    good = "A,1,2,3,4000\n"
+    # blank lines count towards the line number
+    text = HEADER + good + "\n" + "B,1,95,3,4000\n" + "C,1,2,x,4000\n"
+    with pytest.raises(RangeError, match=r"^line 4: dec_deg = 95.0 outside \[-90, 90\]$"):
+        load_catalog(io.StringIO(text))
+    text = HEADER + good + "C,1,2,x,4000\n" + "B,1,95,3,4000\n"
+    with pytest.raises(ParseError, match=r"^line 3: column vmag: not a number: 'x'$"):
+        load_catalog(io.StringIO(text))
+    # one row failing several checks reports the first, finiteness first
+    with pytest.raises(RangeError, match=r"^line 2: vmag must be finite, got nan$"):
+        load_catalog(io.StringIO(HEADER + "A,400,2,nan,-1\n"))
+    # a fault far down still names its line
+    rows = [f"s{i},1,2,3,4000\n" for i in range(10_000)]
+    rows[9000] = "bad,360,2,3,4000\n"
+    with pytest.raises(RangeError, match=r"^line 9002: ra_deg = 360.0 outside \[0, 360\)$"):
+        load_catalog(io.StringIO(HEADER + "".join(rows) + "x,1,2\n"))
+    with pytest.raises(RangeError, match=r"^star 1 \(B\): temp_k = -5.0 must be positive$"):
+        _catalog(("A", 1.0, 2.0, 3.0), ("B", 1.0, 2.0, 3.0, -5.0))
 
 
 def test_csv_round_trip():
-    stars = [StarRecord("A", 12.5, -30.0, 4.25, 9000.0),
-             StarRecord("B", 350.0, 89.9, 1.0, 3200.0)]
-    assert load_catalog(io.StringIO(catalog_to_csv(stars))) == stars
+    stars = _catalog(("A", 12.5, -30.0, 4.25, 9000.0), ("B", 350.0, 89.9, 1.0, 3200.0))
+    back = load_catalog(io.StringIO(catalog_to_csv(stars)))
+    assert back.names == stars.names
+    for col in ("ra_deg", "dec_deg", "vmag", "temp_k"):
+        assert np.array_equal(getattr(back, col), getattr(stars, col))
 
 
 def test_chi_zero_is_identity():
-    stars = [StarRecord("A", 10.0, 20.0, 3.0, 6000.0),
-             StarRecord("B", 200.0, -45.0, 5.5, 11000.0)]
-    for t in transform_catalog(stars, 0.0):
-        assert t.q_after == t.q_before
-        assert t.doppler == 1.0
-        assert t.temp_after == t.source.temp_k
-        assert t.vmag_after == t.source.vmag
+    stars = _catalog(("A", 10.0, 20.0, 3.0, 6000.0), ("B", 200.0, -45.0, 5.5, 11000.0))
+    sky = transform_catalog(stars, 0.0)
+    for i, q_after in enumerate(_points(sky)):
+        assert q_after == _unboosted_point(stars, i)
+    assert (sky.doppler == 1.0).all()
+    assert np.array_equal(sky.temp_k, stars.temp_k)
+    assert np.array_equal(sky.vmag, stars.vmag)
 
 
 def test_pole_star_photometry_at_ln2():
-    star = StarRecord("pole", 0.0, 90.0, 2.0, 6000.0)
-    (t,) = transform_catalog([star], LN2)
-    assert t.q_after.distance_to(t.q_before) <= 1e-12
-    assert t.doppler == pytest.approx(2.0, abs=1e-12)
-    assert t.temp_after == pytest.approx(12000.0, abs=1e-9)
-    assert t.vmag_after == pytest.approx(2.0 - 10.0 * math.log10(2.0), abs=1e-12)
+    stars = _catalog(("pole", 0.0, 90.0, 2.0, 6000.0))
+    sky = transform_catalog(stars, LN2)
+    (q_after,) = _points(sky)
+    assert q_after.distance_to(_unboosted_point(stars, 0)) <= 1e-12
+    assert sky.doppler[0] == pytest.approx(2.0, abs=1e-12)
+    assert sky.temp_k[0] == pytest.approx(12000.0, abs=1e-9)
+    assert sky.vmag[0] == pytest.approx(2.0 - 10.0 * math.log10(2.0), abs=1e-12)
 
 
 def test_equator_star_lands_on_half_angle_law():
-    star = StarRecord("eq", 90.0, 0.0, 3.0)
-    (t,) = transform_catalog([star], LN2)
-    assert to_polar(t.q_after).theta == pytest.approx(2.0 * math.atan(0.5), abs=1e-12)
+    (q_after,) = _points(transform_catalog(_catalog(("eq", 90.0, 0.0, 3.0)), LN2))
+    assert to_polar(q_after).theta == pytest.approx(2.0 * math.atan(0.5), abs=1e-12)
 
 
 def test_contraction_direction_and_order_preserved(rng):
-    stars = [StarRecord(f"s{i}", float(rng.uniform(0, 360)),
+    stars = _catalog(*[(f"s{i}", float(rng.uniform(0, 360)),
                         float(rng.uniform(-89.9, 89.9)), 4.0)
-             for i in range(200)]
+                       for i in range(200)])
     out = transform_catalog(stars, 0.8)
-    assert [t.source.name for t in out] == [s.name for s in stars]
-    for t in out:
-        theta_before = to_polar(t.q_before).theta
-        theta_after = to_polar(t.q_after).theta
-        assert theta_after < theta_before
+    assert out.names == stars.names
+    before = [to_polar(q).theta for q in _points(transform_catalog(stars, 0.0))]
+    for theta_before, q_after in zip(before, _points(out)):
+        assert to_polar(q_after).theta < theta_before
     out_back = transform_catalog(stars, -0.8)
-    for t in out_back:
-        assert to_polar(t.q_after).theta > to_polar(t.q_before).theta
+    for theta_before, q_after in zip(before, _points(out_back)):
+        assert to_polar(q_after).theta > theta_before
 
 
 def test_forward_fraction_monotone_in_chi(rng):
-    stars = [StarRecord(f"s{i}", float(rng.uniform(0, 360)),
+    stars = _catalog(*[(f"s{i}", float(rng.uniform(0, 360)),
                         float(math.degrees(math.asin(rng.uniform(-1, 1)))), 4.0)
-             for i in range(500)]
+                       for i in range(500)])
     fractions = []
     for chi in (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0):
         out = transform_catalog(stars, chi)
-        forward = sum(1 for t in out if to_polar(t.q_after).theta < math.pi / 2)
+        forward = sum(1 for q in _points(out) if to_polar(q).theta < math.pi / 2)
         fractions.append(forward / len(out))
     assert fractions == sorted(fractions)
 
 
 def test_photometric_round_trip(rng):
-    stars = [StarRecord(f"s{i}", float(rng.uniform(0, 360)),
+    stars = _catalog(*[(f"s{i}", float(rng.uniform(0, 360)),
                         float(rng.uniform(-89.0, 89.0)), float(rng.uniform(-1, 6)),
                         float(rng.uniform(3000, 30000)))
-             for i in range(100)]
+                       for i in range(100)])
     chi = 1.1
     once = transform_catalog(stars, chi)
     # re-seat each star at its aberrated position and boost back
-    intermediate = []
-    for t in once:
-        p = to_polar(t.q_after)
-        intermediate.append(StarRecord(
-            t.source.name,
-            math.degrees(p.phi) % 360.0,
-            90.0 - math.degrees(p.theta),
-            t.vmag_after,
-            t.temp_after,
-        ))
+    polar = [to_polar(q) for q in _points(once)]
+    intermediate = Catalog(once.names,
+                           [math.degrees(p.phi) % 360.0 for p in polar],
+                           [90.0 - math.degrees(p.theta) for p in polar],
+                           once.vmag, once.temp_k)
     back = transform_catalog(intermediate, -chi)
-    for t, original in zip(back, stars):
-        assert t.temp_after == pytest.approx(original.temp_k, abs=1e-9)
-        assert t.vmag_after == pytest.approx(original.vmag, abs=1e-9)
+    assert back.temp_k == pytest.approx(stars.temp_k, abs=1e-9)
+    assert back.vmag == pytest.approx(stars.vmag, abs=1e-9)
+
+
+@pytest.mark.parametrize("chi", [0.0, LN2, 2.0, -1.3, 7.5, -40.0])
+def test_transform_equals_the_scalar_chain(rng, chi):
+    """Every column is bit-identical to the per-star formulas of sphere and celestial."""
+    n = 3000
+    stars = Catalog([f"s{i}" for i in range(n + 3)],
+                    np.append(rng.uniform(0.0, 360.0, n), [0.0, 45.0, 90.0]),
+                    np.append(np.degrees(np.arcsin(rng.uniform(-1.0, 1.0, n))),
+                              [90.0, -90.0, 0.0]),
+                    np.append(rng.uniform(-1.0, 7.0, n), [1.0, 2.0, 3.0]),
+                    np.append(rng.uniform(2500.0, 30000.0, n), [6000.0, 4000.0, 9000.0]))
+    sky = transform_catalog(stars, chi)
+    boost = MoebiusTransform.dilation(chi)
+    for i in range(len(stars)):
+        theta = math.radians(90.0 - float(stars.dec_deg[i]))
+        q = boost.apply(_unboosted_point(stars, i))
+        d = doppler(chi, theta)
+        assert (sky.z1[i], sky.z2[i]) == (q.z1, q.z2)
+        assert sky.doppler[i] == d
+        assert sky.temp_k[i] == d * float(stars.temp_k[i])
+        assert sky.vmag[i] == float(stars.vmag[i]) - 10.0 * math.log10(d)
+
+
+@pytest.mark.parametrize("chi", [math.nan, math.inf, -math.inf, 1000.0, -710.0])
+def test_transform_rejects_unusable_rapidity(chi):
+    with pytest.raises(RangeError, match="rapidity"):
+        transform_catalog(_catalog(("A", 1.0, 2.0, 3.0)), chi)
+
+
+def test_transform_rejects_overflowing_photometry():
+    # e^709 is finite, but D * T for a star near the forward pole is not
+    with pytest.raises(RangeError, match="overflows the boosted temperatures"):
+        transform_catalog(_catalog(("A", 1.0, 89.0, 3.0, 30000.0)), 709.0)
