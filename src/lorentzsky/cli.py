@@ -13,8 +13,11 @@ import argparse
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Sequence
+
+import numpy as np
 
 from .celestial import aberrate, doppler
 from .decompose import standard_decompose
@@ -30,6 +33,27 @@ _C_M_PER_S = 299_792_458  # for documentation: velocities here are fractions of 
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
+
+
+def _json_numbers(col: np.ndarray) -> list[str]:
+    """Each value rounded to 12 significant digits, written as json.dumps writes it.
+
+    The nearest double to a decimal of at most 12 significant digits has
+    that decimal as its shortest repr (10**15 < 2**53), and "{:.12}" keeps
+    the ".0" of fixed notation, so one format call gives json.dumps's text.
+    Two ranges differ and take the slow path: "{:.12}" turns to exponent
+    notation from 1e11 where repr waits until 1e16, and a subnormal's
+    shortest repr can have fewer digits (5e-324).  The mask takes |v| >= 1e10,
+    which catches values that round up to 1e11, and 0 < |v| < 1e-290, a
+    margin over the subnormals below 2.2e-308.
+    """
+    values = col.tolist()
+    text = list(map("{:.12}".format, values))
+    magnitude = np.abs(col)
+    slow = ~(magnitude < 1e10) | ((magnitude > 0.0) & (magnitude < 1e-290))
+    for i in np.flatnonzero(slow).tolist():
+        text[i] = json.dumps(float(_fmt(values[i])))
+    return text
 
 
 def _round12(obj: Any) -> Any:
@@ -154,15 +178,13 @@ def _cmd_render(args: argparse.Namespace) -> int:
     sky = transform_catalog(load_catalog(args.input), args.chi)
     Path(args.out).write_bytes(render(sky, spec))
     if args.json:
-        doppler, temp_k, vmag = ([float(_fmt(v)) for v in col.tolist()]
-                                 for col in (sky.doppler, sky.temp_k, sky.vmag))
-        payload = {
-            "out": args.out,
-            "count": len(sky),
-            "stars": [{"name": name, "doppler": d, "temp_k": t, "vmag": v}
-                      for name, d, t, v in zip(sky.names, doppler, temp_k, vmag)],
-        }
-        sys.stdout.write(json.dumps(payload) + "\n")
+        # The bytes of json.dumps({"out": ..., "count": ..., "stars": [...]}),
+        # written without building the dicts.
+        rows = map('{{"name": {}, "doppler": {}, "temp_k": {}, "vmag": {}}}'.format,
+                   map(encode_basestring_ascii, sky.names),
+                   *map(_json_numbers, (sky.doppler, sky.temp_k, sky.vmag)))
+        sys.stdout.write(f'{{"out": {encode_basestring_ascii(args.out)}, '
+                         f'"count": {len(sky)}, "stars": [{", ".join(rows)}]}}\n')
     return 0
 
 

@@ -199,8 +199,8 @@ def _render_svg(placed, spec: RenderSpec) -> bytes:
                      'fill="none" stroke="#303030" stroke-width="1"/>')
     x, y, rad, rgb = placed
     colors = rgb.astype(np.int64) @ np.array([1 << 16, 1 << 8, 1])
-    lines.extend(f'<circle cx="{a:.3f}" cy="{b:.3f}" r="{r:.3f}" fill="#{c:06x}"/>'
-                 for a, b, r, c in zip(x.tolist(), y.tolist(), rad.tolist(), colors.tolist()))
+    lines.extend(map('<circle cx="%.3f" cy="%.3f" r="%.3f" fill="#%06x"/>'.__mod__,
+                     zip(x.tolist(), y.tolist(), rad.tolist(), colors.tolist())))
     lines.append("</svg>")
     return ("\n".join(lines) + "\n").encode("ascii")
 

@@ -115,6 +115,13 @@ def load_catalog(source: str | Path | IO[str]) -> Catalog:
 def _parse_catalog(stream: IO[str]) -> Catalog:
     reader = csv.reader(stream)
     try:
+        return _parse_rows(reader)
+    except csv.Error as exc:  # such as a field longer than csv.field_size_limit()
+        raise ParseError(reader.line_num, str(exc)) from None
+
+
+def _parse_rows(reader) -> Catalog:
+    try:
         header = next(reader)
     except StopIteration:
         raise ParseError(1, "missing header row") from None
@@ -129,7 +136,8 @@ def _parse_catalog(stream: IO[str]) -> Catalog:
     values: list[float] = []   # the rows' four values, flattened
     lines: list[int] = []
     try:
-        for line, row in enumerate(reader, start=2):
+        for row in reader:
+            line = reader.line_num   # the row's last line: a quoted field may span several
             if not row:
                 continue  # blank line
             if len(row) != n_cols:
@@ -148,7 +156,7 @@ def _parse_catalog(stream: IO[str]) -> Catalog:
                                                f"{text!r}") from None
             names.append(name)
             lines.append(line)
-    except ParseError:
+    except (ParseError, csv.Error):
         _columns(values, lines)  # an out-of-range value on an earlier line comes first
         raise
     return Catalog(names, *_columns(values, lines))

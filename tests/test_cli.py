@@ -7,9 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from lorentzsky import boost_axis
-from lorentzsky.cli import cli_main
+from lorentzsky.cli import _json_numbers, cli_main
 
 LN2 = 0.6931471805599453
 
@@ -164,6 +166,31 @@ def test_render_end_to_end(tmp_path, capsys, monkeypatch):
     assert pole["doppler"] == pytest.approx(2.0, abs=1e-11)
     assert pole["temp_k"] == pytest.approx(12000.0, abs=1e-7)
     assert pole["vmag"] == pytest.approx(2.0 - 10 * math.log10(2.0), abs=1e-9)
+
+
+def test_render_overlong_field_exits_1(tmp_path, capsys, monkeypatch):
+    catalog = tmp_path / "stars.csv"
+    catalog.write_text("name,ra_deg,dec_deg,vmag,temp_k\n" + "x" * 200_000 + ",1,2,3,4000\n")
+    code, out, err = run(capsys, monkeypatch, [
+        "render", "--input", str(catalog), "--out", str(tmp_path / "x.svg"), "--json"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: line 2: field larger than field limit")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "x.svg").exists()
+
+
+EDGE_NUMBERS = [5e-324, 2.225073858507201e-308, 99999999999.95, 99999999999.96, 1e11,
+                9.9999999999995e15, 1e16, 0.0, -0.0]
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8))
+@example(EDGE_NUMBERS)
+@example([-v for v in EDGE_NUMBERS])
+@example([v * (1 + 1e-12) for v in EDGE_NUMBERS])
+def test_json_numbers_match_json_dumps(values):
+    assert _json_numbers(np.array(values, dtype=float)) == [
+        json.dumps(float(f"{v:.12g}")) for v in values]
 
 
 def test_render_missing_input_exits_1(tmp_path, capsys, monkeypatch):

@@ -85,6 +85,17 @@ def test_round_trip_boost_near_coordinate_plane(t, chi):
     assert np.abs(recompose(d).entries - lam.entries).max() <= 1e-9
 
 
+@pytest.mark.parametrize("chi1, chi2", [(0.5, 0.7), (1.0, 2.0), (3.0, 3.0)])
+def test_thomas_wigner_rotation_of_perpendicular_boosts(chi1, chi2):
+    # A boost along x1 then one along x2 leaves, after the pure boost is
+    # factored out, a rotation about x3 with cos theta = (g1 + g2) / (1 + g1 g2).
+    d = standard_decompose(boost_axis((0, 1, 0), chi2) @ boost_axis((1, 0, 0), chi1))
+    w = d.r1 @ d.r2
+    g1, g2 = math.cosh(chi1), math.cosh(chi2)
+    assert abs((np.trace(w) - 1.0) / 2.0 - (g1 + g2) / (1.0 + g1 * g2)) <= 1e-12
+    assert np.abs(w @ (0.0, 0.0, 1.0) - (0.0, 0.0, 1.0)).max() <= 1e-12
+
+
 def test_rapidity_of_examples(rng):
     assert rapidity_of(validate_lorentz(np.eye(4))) == 0.0
     assert rapidity_of(boost_x(2.5)) == pytest.approx(2.5, abs=1e-12)

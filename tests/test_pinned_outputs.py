@@ -1,9 +1,11 @@
-"""Output bytes pinned to SHA-256 hashes taken before the columnar rewrite.
+"""Output bytes pinned to SHA-256 hashes taken from earlier writers.
 
 The per-star pipeline (one object per star, one disc at a time) wrote
-these images and JSON summaries; the column pipeline must write the same
-bytes.  The seeded 2000-star catalog includes both poles and the equator
-and temperatures past both ends of the color table.
+the images and JSON summaries of the seeded 2000-star catalog; the
+edge-value summaries were written by building one dict per star and
+calling json.dumps.  The present code must write the same bytes.  The
+seeded catalog includes both poles and the equator and temperatures past
+both ends of the color table.
 """
 
 import hashlib
@@ -86,6 +88,42 @@ JSON_SUMMARIES = [
 @pytest.mark.parametrize("chi, digest", JSON_SUMMARIES)
 def test_json_summary_is_pinned(catalog_dir, capsys, chi, digest):
     assert cli_main(["render", "--chi", chi, "--input", "stars.csv",
+                     "--out", "sky.svg", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# Values where a number's shortest repr is not its 12-digit "{:.12}" text:
+# subnormal D T (temp_k 5e-324, 1e-310 and 1e-300), D T between 1e11 and
+# 1e16 (chi 17 and 25 at T = 30000) and past it, magnitudes 0 and -0.0, and
+# names that JSON must escape.
+EDGE_CATALOG = """name,ra_deg,dec_deg,vmag,temp_k
+tiny_north,0.0,90.0,0.0,1e-310
+tiny_south,0.0,-90.0,-0.0,1e-300
+tiny_mid,45.0,30.0,-0.0,1e-310
+least_subnormal,80.0,90.0,0.0,5e-324
+hot_north,10.0,90.0,0.0,30000
+hot_high,20.0,75.0,-0.0,30000
+hot_equator,30.0,0.0,1.0,30000
+hot_south,40.0,-90.0,-0.0,30000
+huge_north,50.0,90.0,2.5,1e6
+"Alpha ""Cen"" \\ A",60.0,-30.0,0.0,5778
+Ωmega ★,70.0,89.999,-1.5,12345.6789
+"""
+
+# (chi, SHA-256 of the render --json stdout)
+EDGE_SUMMARIES = [
+    ("0", "05f3b9d74ac25846138c966a11d53fc16c5c4c8fc53e34437c987d8865da50fd"),
+    ("17", "895782c6bcd809fe6d104750eac5f981e2ca56b3aecbf2ae969c7ffa40c9ea26"),
+    ("25", "1dc07f5189f1101d71794a06b46df72ecedccdb78f8e37b1c153bc862900bfaa"),
+]
+
+
+@pytest.mark.parametrize("chi, digest", EDGE_SUMMARIES)
+def test_json_summary_edge_values_are_pinned(tmp_path, monkeypatch, capsys, chi, digest):
+    (tmp_path / "edge.csv").write_text(EDGE_CATALOG, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(["render", "--chi", chi, "--input", "edge.csv",
                      "--out", "sky.svg", "--json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

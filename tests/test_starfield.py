@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 
@@ -85,6 +86,10 @@ def test_errors_name_the_first_bad_line():
     text = HEADER + good + "C,1,2,x,4000\n" + "B,1,95,3,4000\n"
     with pytest.raises(ParseError, match=r"^line 3: column vmag: not a number: 'x'$"):
         load_catalog(io.StringIO(text))
+    # a quoted name spanning two lines counts both
+    text = HEADER + '"two\nlines",1,2,3,4000\n' + "B,1,95,3,4000\n"
+    with pytest.raises(RangeError, match=r"^line 4: dec_deg = 95.0 outside \[-90, 90\]$"):
+        load_catalog(io.StringIO(text))
     # one row failing several checks reports the first, finiteness first
     with pytest.raises(RangeError, match=r"^line 2: vmag must be finite, got nan$"):
         load_catalog(io.StringIO(HEADER + "A,400,2,nan,-1\n"))
@@ -95,6 +100,18 @@ def test_errors_name_the_first_bad_line():
         load_catalog(io.StringIO(HEADER + "".join(rows) + "x,1,2\n"))
     with pytest.raises(RangeError, match=r"^star 1 \(B\): temp_k = -5.0 must be positive$"):
         _catalog(("A", 1.0, 2.0, 3.0), ("B", 1.0, 2.0, 3.0, -5.0))
+
+
+def test_overlong_field_raises_parse_error():
+    limit = csv.field_size_limit()
+    with pytest.raises(ParseError, match=r"^line 2: field larger than field limit"):
+        load_catalog(io.StringIO(HEADER + "x" * 200_000 + ",1,2,3,4000\n"))
+    with pytest.raises(ParseError, match=r"^line 1: field larger than field limit"):
+        load_catalog(io.StringIO("x" * 200_000 + "\n"))
+    # an out-of-range value on an earlier line still comes first
+    with pytest.raises(RangeError, match=r"^line 2: dec_deg"):
+        load_catalog(io.StringIO(HEADER + "A,1,95,3,4000\n" + "x" * 200_000 + ",1,2,3,4000\n"))
+    assert csv.field_size_limit() == limit
 
 
 def test_csv_round_trip():
