@@ -83,6 +83,8 @@ def _read_json(in_path: str | None) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise LorentzSkyError(f"invalid JSON input: {exc}") from None
+    except RecursionError:
+        raise LorentzSkyError("invalid JSON input: nested too deeply") from None
 
 
 def _matrix_from_json(payload: Any) -> list[list[float]]:
@@ -94,17 +96,17 @@ def _matrix_from_json(payload: Any) -> list[list[float]]:
         raise LorentzSkyError('"m" must be a 4x4 array of numbers')
     try:
         return [[float(v) for v in row] for row in m]
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise LorentzSkyError('"m" must be a 4x4 array of numbers') from None
 
 
 def _complex_from_json(value: Any, key: str) -> complex:
     if isinstance(value, (int, float)):
-        return complex(float(value), 0.0)
+        value = [value, 0.0]
     if isinstance(value, list) and len(value) == 2:
         try:
             return complex(float(value[0]), float(value[1]))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             pass
     raise LorentzSkyError(f'"{key}" must be a number or an [re, im] pair')
 

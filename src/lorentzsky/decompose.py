@@ -8,9 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import WrongComponent
-from .minkowski import (ComponentLabel, LorentzMatrix, Rapidity, _cross,
-                        _frame_taking_e1_to, boost_x, classify_component,
-                        rotation_embed)
+from .minkowski import (ComponentLabel, LorentzMatrix, Rapidity, _cross, boost_x,
+                        classify_component, rotation_embed)
 
 _ROTATION_TOL = 1e-10
 _PURE_ROTATION_THRESHOLD = 1e-12
@@ -40,61 +39,46 @@ class StandardDecomposition:
             raise ValueError("chi must be non-negative")
 
 
-def _nearest_rotation(r: np.ndarray) -> np.ndarray:
-    """Polar projection onto SO(3); identity for matrices already orthogonal."""
-    u, _, vt = np.linalg.svd(r)
-    out = u @ vt
-    if np.linalg.det(out) < 0:
-        out = u @ np.diag([1.0, 1.0, -1.0]) @ vt
-    return out
+def _frame_taking_e1_to(n: np.ndarray) -> np.ndarray:
+    """A rotation with first column the unit vector n.
+
+    The second column is Gram-Schmidt on the coordinate axis least aligned
+    with n, whose residual has norm at least sqrt(2/3); the third column is
+    n x (second column), so det is +1.
+    """
+    seed = np.zeros(3)
+    seed[int(np.argmin(np.abs(n)))] = 1.0
+    u = seed - (seed @ n) * n
+    c1 = u / np.linalg.norm(u)
+    return np.column_stack([n, c1, _cross(n, c1)])
 
 
 def standard_decompose(lam: LorentzMatrix) -> StandardDecomposition:
     """Factor a proper orthochronous matrix as rotation . boost_x . rotation.
 
-    Raises :class:`WrongComponent` for any other component.  When the first
-    column has no spatial part the matrix is a pure rotation and the boost
-    is trivial.
+    From lam = embed(r1) . boost_x(chi) . embed(r2), the spatial part of the
+    first column is a = -lam[1:, 0] = sinh(chi) r1 e1, and the spatial block
+    is lam[1:, 1:] = r1 . diag(cosh chi, 1, 1) . r2.  So chi = asinh|a|, r1
+    is any rotation taking e1 to a/|a|, and the rows of r1^T lam[1:, 1:] are
+    those of r2, the first scaled by cosh chi.  Rounding leaves the last two
+    rows off by ~cosh(chi) ulp but the first by ~1 ulp, and boost_x
+    multiplies only the first row's error by cosh chi, so r2 is
+    orthonormalised starting from that row.  Raises :class:`WrongComponent`
+    for any other component; when a vanishes the boost is trivial.
     """
     if classify_component(lam) is not ComponentLabel.PROPER_ORTHOCHRONOUS:
         raise WrongComponent("standard decomposition needs a proper orthochronous matrix")
     m = lam.entries
-    a = m[1:, 0]
-    norm_a = float(np.linalg.norm(a))
+    norm_a = float(np.linalg.norm(m[1:, 0]))
     if norm_a <= _PURE_ROTATION_THRESHOLD:
-        return StandardDecomposition(np.eye(3), 0.0, _nearest_rotation(m[1:, 1:]))
-
-    e1 = a / norm_a
-    # Deterministic sign: the largest-magnitude entry of e1 is positive.
-    if e1[int(np.argmax(np.abs(e1)))] < 0:
-        e1 = -e1
-    rbar1 = _frame_taking_e1_to(e1).T          # rows e1, e2, e3
-    middle = np.eye(4)
-    middle[1:, 1:] = rbar1
-    middle = middle @ m                        # rows 2,3 now have zero time part
-    mu, nu = middle[2, 1:], middle[3, 1:]
-    # Tidy the frame: inputs validated only to lam.tol may leave mu, nu
-    # orthonormal to worse than the rotation invariant demands.
-    mu = mu / np.linalg.norm(mu)
-    nu = nu - (nu @ mu) * mu
-    nu = nu / np.linalg.norm(nu)
-    f1 = _cross(mu, nu)
-    rbar2 = np.column_stack([f1, mu, nu])      # columns
-    emb2 = np.eye(4)
-    emb2[1:, 1:] = rbar2
-    block = middle @ emb2                      # standard boost, rapidity of either sign
-
-    chi = math.asinh(-float(block[0, 1]))
-    r1 = rbar1.T
-    r2 = np.vstack([f1, mu, nu])
-    if chi < 0:
-        # Absorb the sign into the rotations: a half-turn about the third
-        # axis conjugates boost_x(chi) into boost_x(-chi).
-        flip = np.diag([-1.0, -1.0, 1.0])
-        r1 = r1 @ flip
-        r2 = flip @ r2
-        chi = -chi
-    return StandardDecomposition(r1, chi, r2)
+        r1, chi = np.eye(3), 0.0
+    else:
+        r1, chi = _frame_taking_e1_to(-m[1:, 0] / norm_a), math.asinh(norm_a)
+    rows = r1.T @ m[1:, 1:]
+    f1 = rows[0] / np.linalg.norm(rows[0])
+    f2 = rows[1] - (rows[1] @ f1) * f1
+    f2 = f2 / np.linalg.norm(f2)
+    return StandardDecomposition(r1, chi, np.vstack([f1, f2, _cross(f1, f2)]))
 
 
 def recompose(d: StandardDecomposition) -> LorentzMatrix:
@@ -103,7 +87,11 @@ def recompose(d: StandardDecomposition) -> LorentzMatrix:
 
 
 def rapidity_of(lam: LorentzMatrix) -> Rapidity:
-    """Boost rapidity arccosh of the 0-0 entry; rotation factors do not affect it."""
+    """Boost rapidity asinh|lam[1:, 0]|, as in :func:`standard_decompose`.
+
+    Rotation factors do not affect it, and unlike acosh of the 0-0 entry it
+    keeps full relative precision for small rapidities.
+    """
     if classify_component(lam) is not ComponentLabel.PROPER_ORTHOCHRONOUS:
         raise WrongComponent("rapidity is defined for proper orthochronous matrices")
-    return math.acosh(max(float(lam.entries[0, 0]), 1.0))
+    return math.asinh(float(np.linalg.norm(lam.entries[1:, 0])))

@@ -245,29 +245,21 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
-def _frame_taking_e1_to(n: np.ndarray) -> np.ndarray:
-    """A rotation with first column the unit vector n.
-
-    The second column is Gram-Schmidt on the coordinate axis least aligned
-    with n, whose residual has norm at least sqrt(2/3); the third column is
-    n x (second column), so det is +1.
-    """
-    seed = np.zeros(3)
-    seed[int(np.argmin(np.abs(n)))] = 1.0
-    u = seed - (seed @ n) * n
-    c1 = u / np.linalg.norm(u)
-    return np.column_stack([n, c1, _cross(n, c1)])
-
-
 def boost_axis(n: Iterable[float], chi: Rapidity) -> LorentzMatrix:
     """Boost with rapidity chi along the unit 3-vector ``n``.
 
-    Built as R . boost_x(chi) . R^T for a deterministic rotation R taking
-    e1 to n; the result depends only on n.
+    Closed form (Jackson, Classical Electrodynamics, 11.3): the 0-0 entry is
+    cosh chi, the 0-i and i-0 entries are -sinh(chi) n_i, and the spatial
+    block is delta_ij + (cosh chi - 1) n_i n_j.
     """
     n = _unit_axis(n)
-    r = rotation_embed(_frame_taking_e1_to(n))
-    return r @ boost_x(chi) @ r.inverse()
+    ch, sh = math.cosh(chi), math.sinh(chi)
+    m = np.empty((4, 4))
+    m[0, 0] = ch
+    m[0, 1:] = m[1:, 0] = -sh * n
+    m[1:, 1:] = np.eye(3) + (ch - 1.0) * np.outer(n, n)
+    # The same cosh^2-scaled tolerance as boost_x.
+    return LorentzMatrix(m, DEFAULT_TOL * max(1.0, ch * ch))
 
 
 def rotation_embed(r: np.ndarray) -> LorentzMatrix:

@@ -1,13 +1,16 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from lorentzsky import boost_axis
@@ -22,7 +25,6 @@ def matrix_json(m) -> str:
 
 def run(capsys, monkeypatch, argv, stdin_text=None):
     if stdin_text is not None:
-        import io
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
     code = cli_main(argv)
     captured = capsys.readouterr()
@@ -268,3 +270,77 @@ def test_render_unreadable_input_exits_1(tmp_path, capsys, monkeypatch):
         "render", "--input", str(tmp_path), "--out", str(tmp_path / "x.svg")])
     assert code == 1
     assert err.startswith("error: ")
+
+
+# A JSON integer with 400 digits parses to an int that float() cannot hold.
+HUGE_INT = "1" + "0" * 400
+HUGE_MATRIX = f'{{"m": [[{HUGE_INT}, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}}'
+HUGE_MOBIUS = [f'{{"a": {HUGE_INT}, "b": 0, "c": 0, "d": 1, "points": []}}',
+               f'{{"a": 1, "b": 0, "c": 0, "d": 1, "points": [[{HUGE_INT}, 0]]}}']
+DEEP_JSON = "[" * 100_000
+
+
+@pytest.mark.parametrize("command, text", [("classify", HUGE_MATRIX), ("decompose", HUGE_MATRIX),
+                                           ("lift", HUGE_MATRIX), ("mobius", HUGE_MOBIUS[0]),
+                                           ("mobius", HUGE_MOBIUS[1])])
+def test_integer_too_large_for_a_float_exits_1(capsys, monkeypatch, command, text):
+    code, out, err = run(capsys, monkeypatch, [command], text)
+    assert code == 1
+    assert out == ""
+    assert "must be" in err
+
+
+@pytest.mark.parametrize("command", ["classify", "decompose", "lift", "mobius"])
+def test_deeply_nested_json_exits_1(capsys, monkeypatch, command):
+    code, out, err = run(capsys, monkeypatch, [command], DEEP_JSON)
+    assert code == 1
+    assert out == ""
+    assert err == "error: invalid JSON input: nested too deeply\n"
+
+
+_JSON_NUMBERS = st.integers() | st.floats()
+_JSON_LEAVES = st.none() | st.booleans() | _JSON_NUMBERS | st.text(max_size=4) | st.just("inf")
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=5),
+    max_leaves=20)
+_MATRICES = st.fixed_dictionaries({"m": st.lists(st.lists(_JSON_NUMBERS | _JSON_LEAVES,
+                                                          min_size=4, max_size=4),
+                                                 min_size=4, max_size=4)})
+# Boosts up to and past the rapidity where validation and the lift give up.
+_BOOSTS = st.builds(lambda chi, n: {"m": boost_axis(n / np.linalg.norm(n), chi).entries.tolist()},
+                    st.floats(0.0, 40.0),
+                    st.sampled_from([np.array([0.6, 0.0, 0.8]), np.array([1.0, 2.0, -2.0])]))
+_PAIRS = st.lists(_JSON_NUMBERS, min_size=2, max_size=2)
+_POINTS = st.lists(_PAIRS | _JSON_NUMBERS | st.just("inf"), max_size=4)
+_MOBIUS = st.fixed_dictionaries({k: _JSON_NUMBERS | _PAIRS for k in "abcd"},
+                                optional={"points": _POINTS})
+# a d - b c = 1, so these reach the Mobius action itself.
+_UNIT_MOBIUS = st.builds(lambda a, b, c, points: {"a": a, "b": b, "c": c,
+                                                  "d": (1.0 + b * c) / a, "points": points},
+                         st.floats(0.1, 10.0), st.floats(-10.0, 10.0), st.floats(-10.0, 10.0),
+                         _POINTS)
+_STDIN = (st.text(max_size=30)
+          | st.one_of(_JSON_VALUES, _MATRICES, _BOOSTS, _MOBIUS, _UNIT_MOBIUS).map(json.dumps))
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(["classify", "decompose", "lift", "mobius"]), _STDIN)
+@example("classify", HUGE_MATRIX)
+@example("decompose", HUGE_MATRIX)
+@example("lift", HUGE_MATRIX)
+@example("mobius", HUGE_MOBIUS[0])
+@example("mobius", HUGE_MOBIUS[1])
+@example("classify", DEEP_JSON)
+@example("decompose", DEEP_JSON)
+@example("lift", DEEP_JSON)
+@example("mobius", DEEP_JSON)
+def test_json_stdin_never_escapes_cli_main(command, text):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main([command])
+    assert code in (0, 1, 2)
+    if code:
+        assert err.getvalue().startswith("error: ")

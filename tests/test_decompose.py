@@ -7,7 +7,7 @@ import pytest
 from lorentzsky import (StandardDecomposition, boost_axis, boost_x, parity,
                         rapidity_of, recompose, rotation_about_axis,
                         rotation_embed, standard_decompose, validate_lorentz)
-from lorentzsky.errors import WrongComponent
+from lorentzsky.errors import NotLorentz, WrongComponent
 from lorentzsky.sampling import random_proper_orthochronous, random_rotation
 
 LN2 = 0.6931471805599453
@@ -85,6 +85,38 @@ def test_round_trip_boost_near_coordinate_plane(t, chi):
     assert np.abs(recompose(d).entries - lam.entries).max() <= 1e-9
 
 
+def test_round_trip_imprecise_inputs(rng):
+    # Exact matrices plus entrywise noise of 1e-11 to 1e-10, kept when they
+    # still pass validation: the factors must still be rotations.
+    accepted = 0
+    for _ in range(1000):
+        exact = random_proper_orthochronous(rng, chi_max=5.0).entries
+        noisy = exact + rng.normal(size=(4, 4)) * 10.0 ** rng.uniform(-11.0, -10.0)
+        try:
+            lam = validate_lorentz(noisy)
+        except NotLorentz:
+            continue
+        accepted += 1
+        d = standard_decompose(lam)
+        assert np.abs(recompose(d).entries - lam.entries).max() <= 1e-8
+    assert accepted >= 500
+
+
+@pytest.mark.parametrize("chi", [20.0, 25.0, 30.0])
+def test_round_trip_past_the_4x4_precision_limit(rng, chi):
+    # Entries of order cosh chi carry rounding of order cosh chi ulp, so an
+    # r2 read off the Thomas-Wigner rotation alone is off by that much in
+    # the row that boost_x multiplies by cosh chi again.
+    boost = boost_axis((0.6, 0.0, 0.8), chi)
+    for _ in range(10):
+        rot = rotation_embed(random_rotation(rng))
+        for lam in (boost @ rot, rot @ boost):
+            d = standard_decompose(lam)
+            assert d.chi == pytest.approx(chi, rel=1e-12)
+            residual = np.abs(recompose(d).entries - lam.entries).max()
+            assert residual / lam.entries[0, 0] <= 1e-5
+
+
 @pytest.mark.parametrize("chi1, chi2", [(0.5, 0.7), (1.0, 2.0), (3.0, 3.0)])
 def test_thomas_wigner_rotation_of_perpendicular_boosts(chi1, chi2):
     # A boost along x1 then one along x2 leaves, after the pure boost is
@@ -106,6 +138,14 @@ def test_rapidity_of_examples(rng):
         chi = rng.uniform(0, 5)
         lam = rotation_embed(r1) @ boost_x(chi) @ rotation_embed(r2)
         assert rapidity_of(lam) == pytest.approx(chi, abs=1e-10)
+
+
+@pytest.mark.parametrize("chi", [1e-9, 1e-7, 1e-5])
+def test_rapidity_of_small_rapidities(rng, chi):
+    # acosh of a 0-0 entry within an ulp or two of 1 loses every digit here.
+    lam = (rotation_embed(random_rotation(rng)) @ boost_axis((0.6, 0.0, 0.8), chi)
+           @ rotation_embed(random_rotation(rng)))
+    assert rapidity_of(lam) == pytest.approx(chi, rel=1e-12)
 
 
 def test_rapidity_of_clamps_rounding_below_one():
