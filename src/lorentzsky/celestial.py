@@ -35,9 +35,9 @@ class BondiPoint:
         object.__setattr__(self, "u", float(self.u))
         object.__setattr__(self, "r", float(self.r))
         if not (math.isfinite(self.u) and math.isfinite(self.r)):
-            raise ValueError("u and r must be finite")
+            raise RangeError("u and r must be finite")
         if self.r < 0:
-            raise ValueError("r must be non-negative")
+            raise RangeError("r must be non-negative")
 
 
 def bondi_from_inertial(x: FourVector) -> BondiPoint:
@@ -111,7 +111,7 @@ def aberrate(chi: Rapidity, theta: float) -> float:
     line of sight to the source.
     """
     if not 0.0 <= theta <= math.pi:
-        raise ValueError(f"theta = {theta} outside [0, pi]")
+        raise RangeError(f"theta = {theta} outside [0, pi]")
     exp_neg = _exp_rapidity(chi)[1]
     if theta == math.pi:
         return math.pi
@@ -128,7 +128,7 @@ def doppler(chi: Rapidity, theta: float) -> float:
     which has no cancellation and is manifestly positive.
     """
     if not 0.0 <= theta <= math.pi:
-        raise ValueError(f"theta = {theta} outside [0, pi]")
+        raise RangeError(f"theta = {theta} outside [0, pi]")
     exp_pos, exp_neg = _exp_rapidity(chi)
     if chi == 0.0:
         return 1.0

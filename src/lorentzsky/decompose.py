@@ -7,9 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import WrongComponent
-from .minkowski import (ComponentLabel, LorentzMatrix, Rapidity, _cross, boost_x,
-                        classify_component, rotation_embed)
+from .errors import RangeError, WrongComponent
+from .minkowski import (DEFAULT_TOL, ComponentLabel, LorentzMatrix, Rapidity, _cosh_sinh,
+                        _cross, _is_rotation, classify_component)
 
 _ROTATION_TOL = 1e-10
 _PURE_ROTATION_THRESHOLD = 1e-12
@@ -30,13 +30,12 @@ class StandardDecomposition:
     def __post_init__(self):
         for name in ("r1", "r2"):
             r = np.array(getattr(self, name), dtype=float)
-            if r.shape != (3, 3) or np.abs(r.T @ r - np.eye(3)).max() > _ROTATION_TOL \
-                    or np.linalg.det(r) < 0:
-                raise ValueError(f"{name} must be a 3x3 rotation with det +1")
+            if not _is_rotation(r, _ROTATION_TOL):
+                raise RangeError(f"{name} must be a 3x3 rotation with det +1")
             r.setflags(write=False)
             object.__setattr__(self, name, r)
         if self.chi < 0:
-            raise ValueError("chi must be non-negative")
+            raise RangeError("chi must be non-negative")
 
 
 def _frame_taking_e1_to(n: np.ndarray) -> np.ndarray:
@@ -82,8 +81,14 @@ def standard_decompose(lam: LorentzMatrix) -> StandardDecomposition:
 
 
 def recompose(d: StandardDecomposition) -> LorentzMatrix:
-    """Product embed(r1) . boost_x(chi) . embed(r2)."""
-    return rotation_embed(d.r1) @ boost_x(d.chi) @ rotation_embed(d.r2)
+    """Closed form of embed(r1) . boost_x(chi) . embed(r2), checked with boost_x's tolerance."""
+    ch, sh = _cosh_sinh(d.chi)
+    m = np.empty((4, 4))
+    m[0, 0] = ch
+    m[0, 1:] = -sh * d.r2[0]
+    m[1:, 0] = -sh * d.r1[:, 0]
+    m[1:, 1:] = d.r1 @ (np.array([[ch], [1.0], [1.0]]) * d.r2)
+    return LorentzMatrix(m, DEFAULT_TOL * max(1.0, ch * ch))
 
 
 def rapidity_of(lam: LorentzMatrix) -> Rapidity:

@@ -58,8 +58,8 @@ class ParseError(LorentzSkyError):
         super().__init__(f"line {line}: {reason}")
 
 
-class RangeError(LorentzSkyError):
-    """An input value (catalog field, rapidity, image size) is outside its permitted range."""
+class RangeError(LorentzSkyError, ValueError):
+    """An input (catalog field, rapidity, image size, element entry) is out of range."""
 
 
 class PrecisionLimit(LorentzSkyError):

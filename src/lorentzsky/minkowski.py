@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import BadAxis, NotLorentz, SpeedLimit
+from .errors import BadAxis, NotLorentz, RangeError, SpeedLimit
 
 DEFAULT_TOL = 1e-9
 
@@ -39,7 +39,7 @@ class FourVector:
         for name in ("x0", "x1", "x2", "x3"):
             v = getattr(self, name)
             if not math.isfinite(v):
-                raise ValueError(f"four-vector component {name} must be finite, got {v!r}")
+                raise RangeError(f"four-vector component {name} must be finite, got {v!r}")
             object.__setattr__(self, name, float(v))
 
     @classmethod
@@ -121,7 +121,7 @@ class LorentzMatrix:
         return classify_component(self)
 
     def apply(self, x: FourVector) -> FourVector:
-        return FourVector.from_array(self.entries @ x.as_array())
+        return FourVector(*(self.entries @ x.as_array()).tolist())
 
     def inverse(self) -> "LorentzMatrix":
         # eta M^T eta is the exact inverse of a metric-preserving matrix.
@@ -213,9 +213,17 @@ def add_velocities(v: float, w: float) -> float:
     return (v + w) / (1.0 + v * w)
 
 
+def _cosh_sinh(chi: Rapidity) -> tuple[float, float]:
+    """(cosh chi, sinh chi), RangeError past |chi| ~ 710.5; nan and inf pass through."""
+    try:
+        return math.cosh(chi), math.sinh(chi)
+    except OverflowError:
+        raise RangeError(f"rapidity {chi!r} is out of range: cosh overflows a double") from None
+
+
 def boost_x(chi: Rapidity) -> LorentzMatrix:
     """Standard boost with rapidity chi along the x1 axis."""
-    ch, sh = math.cosh(chi), math.sinh(chi)
+    ch, sh = _cosh_sinh(chi)
     m = np.eye(4)
     m[0, 0] = m[1, 1] = ch
     m[0, 1] = m[1, 0] = -sh
@@ -253,7 +261,7 @@ def boost_axis(n: Iterable[float], chi: Rapidity) -> LorentzMatrix:
     block is delta_ij + (cosh chi - 1) n_i n_j.
     """
     n = _unit_axis(n)
-    ch, sh = math.cosh(chi), math.sinh(chi)
+    ch, sh = _cosh_sinh(chi)
     m = np.empty((4, 4))
     m[0, 0] = ch
     m[0, 1:] = m[1:, 0] = -sh * n
@@ -262,12 +270,17 @@ def boost_axis(n: Iterable[float], chi: Rapidity) -> LorentzMatrix:
     return LorentzMatrix(m, DEFAULT_TOL * max(1.0, ch * ch))
 
 
+def _is_rotation(r: np.ndarray, tol: float) -> bool:
+    """3x3, orthogonal within ``tol`` (max-norm), and det > 0 by the triple product."""
+    return (r.shape == (3, 3) and np.abs(r.T @ r - np.eye(3)).max() <= tol
+            and float(r[0] @ _cross(r[1], r[2])) > 0)
+
+
 def rotation_embed(r: np.ndarray) -> LorentzMatrix:
     """Embed a 3x3 rotation as a spatial Lorentz transformation."""
     r = np.asarray(r, dtype=float)
-    if r.shape != (3, 3) or np.abs(r.T @ r - np.eye(3)).max() > 1e-9 \
-            or np.linalg.det(r) < 0:
-        raise ValueError("expected a 3x3 rotation matrix with det +1")
+    if not _is_rotation(r, 1e-9):
+        raise RangeError("expected a 3x3 rotation matrix with det +1")
     m = np.eye(4)
     m[1:, 1:] = r
     return LorentzMatrix(m)

@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import NotHermitian, PrecisionLimit, WrongComponent
+from .errors import NotHermitian, PrecisionLimit, RangeError, WrongComponent
 from .minkowski import (ComponentLabel, FourVector, LorentzMatrix, _unit_axis,
                         classify_component, validate_lorentz)
 
@@ -32,10 +32,7 @@ SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
 
 #: Basis of 2x2 Hermitian matrices carrying four-vector components.
 TAU = np.stack([np.eye(2, dtype=complex), -SIGMA1, SIGMA2, SIGMA3])
-TAU.setflags(write=False)
-
 _PAULI = np.stack([SIGMA1, SIGMA2, SIGMA3])
-_PAULI.setflags(write=False)
 
 #: Traceless real generators for the 3d cover; tr(t_mu t_nu) = 2 eta_mu_nu.
 _SL2R_GEN = np.stack([
@@ -43,9 +40,22 @@ _SL2R_GEN = np.stack([
     np.array([[0.0, 1.0], [1.0, 0.0]]),
     np.array([[1.0, 0.0], [0.0, -1.0]]),
 ])
-_SL2R_GEN.setflags(write=False)
 
-_ETA3 = np.array([-1.0, 1.0, 1.0])
+
+def _adjoint_form(basis: np.ndarray) -> np.ndarray:
+    """Constant (k*k) x 16 matrix K of the adjoint action on ``basis``, by trace pairing."""
+    # (K @ outer(s, t).ravel())[n*k + m] = 1/2 tr(basis_n s basis_m t^T), t = conj(s) or s^-T
+    return 0.5 * np.einsum("nia,mbc->nmabic", basis, basis).reshape(len(basis) ** 2, 16)
+
+
+_COVER = _adjoint_form(TAU)
+_SO3_COVER = _adjoint_form(_PAULI)
+# The sl2r cover lowers the first index with diag(-1, 1, 1).
+_SO21_COVER = np.repeat([-1.0, 1.0, 1.0], 3)[:, None] * _adjoint_form(_SL2R_GEN)
+# sum_{mu nu} lam_{mu nu} tau_mu tau_k tau_nu, as a 16 x 16 matrix acting on lam.ravel().
+_LIFT = np.einsum("mab,kbc,ncd->kadmn", TAU, TAU, TAU).reshape(16, 16)
+for _const in (TAU, _PAULI, _SL2R_GEN, _COVER, _SO3_COVER, _SO21_COVER, _LIFT):
+    _const.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -61,8 +71,8 @@ class SL2CElement:
         for name in ("a", "b", "c", "d"):
             object.__setattr__(self, name, complex(getattr(self, name)))
         det = self.a * self.d - self.b * self.c
-        if abs(det - 1.0) > _DET_TOL:
-            raise ValueError(f"determinant {det} is not 1 within {_DET_TOL}")
+        if not abs(det - 1.0) <= _DET_TOL:  # also refuses nan
+            raise RangeError(f"determinant {det} is not 1 within {_DET_TOL}")
 
     @classmethod
     def identity(cls) -> "SL2CElement":
@@ -98,8 +108,8 @@ class SU2Element:
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "beta", complex(self.beta))
         norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(norm - 1.0) > _SU2_NORM_TOL:
-            raise ValueError(f"|alpha|^2 + |beta|^2 = {norm} is not 1 within {_SU2_NORM_TOL}")
+        if not abs(norm - 1.0) <= _SU2_NORM_TOL:  # also refuses nan
+            raise RangeError(f"|alpha|^2 + |beta|^2 = {norm} is not 1 within {_SU2_NORM_TOL}")
 
     @property
     def matrix(self) -> np.ndarray:
@@ -130,8 +140,8 @@ class SL2RElement:
         for name in ("a", "b", "c", "d"):
             object.__setattr__(self, name, float(getattr(self, name)))
         det = self.a * self.d - self.b * self.c
-        if abs(det - 1.0) > _DET_TOL:
-            raise ValueError(f"determinant {det} is not 1 within {_DET_TOL}")
+        if not abs(det - 1.0) <= _DET_TOL:  # also refuses nan
+            raise RangeError(f"determinant {det} is not 1 within {_DET_TOL}")
 
     @property
     def matrix(self) -> np.ndarray:
@@ -172,9 +182,6 @@ class HermitianSlot:
         m = self.matrix
         return float((m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]).real)
 
-    def four_vector(self) -> FourVector:
-        return four_vector_from_hermitian(self)
-
 
 def hermitian_from_four_vector(x: FourVector) -> HermitianSlot:
     """X = x^mu tau_mu = ((x0+x3, -x1-i x2), (-x1+i x2, x0-x3))."""
@@ -204,8 +211,7 @@ def sl2c_to_lorentz(s: SL2CElement) -> LorentzMatrix:
     are quadratic in (a, b, c, d), so s and -s give the same matrix.
     """
     m = s.matrix
-    conj = np.einsum("ab,mbc,dc->mad", m, TAU, m.conj())
-    out = 0.5 * np.einsum("nab,mba->nm", TAU, conj).real
+    out = (_COVER @ np.multiply.outer(m, m.conj()).ravel()).real.reshape(4, 4)
     # residual of the quadratic map grows with the squared output scale
     scale = float(np.abs(out).max())
     return validate_lorentz(out, tol=1e-9 * max(1.0, scale * scale))
@@ -214,8 +220,7 @@ def sl2c_to_lorentz(s: SL2CElement) -> LorentzMatrix:
 def su2_to_so3(u: SU2Element) -> np.ndarray:
     """3x3 rotation from the adjoint action on the Pauli basis."""
     m = u.matrix
-    conj = np.einsum("ab,jbc,dc->jad", m, _PAULI, m.conj())
-    return 0.5 * np.einsum("iab,jba->ij", _PAULI, conj).real
+    return (_SO3_COVER @ np.multiply.outer(m, m.conj()).ravel()).real.reshape(3, 3)
 
 
 def sl2r_to_so21(s: SL2RElement) -> np.ndarray:
@@ -223,11 +228,7 @@ def sl2r_to_so21(s: SL2RElement) -> np.ndarray:
 
     The image preserves diag(-1, 1, 1) and has top-left entry >= 1.
     """
-    m = s.matrix
-    inv = s.inverse_matrix()
-    conj = np.einsum("ab,mbc,cd->mad", m, _SL2R_GEN, inv)
-    traces = 0.5 * np.einsum("nab,mba->nm", _SL2R_GEN, conj)
-    return _ETA3[:, None] * traces
+    return (_SO21_COVER @ np.multiply.outer(s.matrix, s.inverse_matrix().T).ravel()).reshape(3, 3)
 
 
 def su2_from_axis_angle(n: Iterable[float], phi: float) -> SU2Element:
@@ -274,7 +275,7 @@ def lift_lorentz_to_sl2c(lam: LorentzMatrix) -> SL2CElement:
     if lam.entries[0, 0] * 2.0 ** -52 > _LIFT_TOL:
         raise PrecisionLimit(f"lam_00 = {lam.entries[0, 0]:.3e}: the lift would be off by "
                              f"~lam_00 * 2^-52, beyond its tolerance {_LIFT_TOL}")
-    m = np.einsum("mn,mab,kbc,ncd->kad", lam.entries, TAU, TAU, TAU)
+    m = (_LIFT @ lam.entries.ravel()).reshape(4, 2, 2)
     det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
     k = int(np.argmax(np.abs(det)))
     return _canonical_sign(SL2CElement.from_matrix(m[k] / np.sqrt(det[k])))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from lorentzsky import (ComponentLabel, FourVector, METRIC, PoincareTransform,
                         integrate_proper_acceleration, interval_squared,
                         parity, poincare_compose, rapidity_from_velocity,
                         rotation_about_axis, rotation_embed, time_reversal,
-                        validate_lorentz, velocity_from_rapidity)
-from lorentzsky.errors import BadAxis, NotLorentz, SpeedLimit
+                        recompose, StandardDecomposition, validate_lorentz,
+                        velocity_from_rapidity)
+from lorentzsky.errors import BadAxis, NotLorentz, RangeError, SpeedLimit
 from lorentzsky.sampling import random_proper_orthochronous, random_rotation
 
 LN2 = 0.6931471805599453
@@ -197,6 +199,27 @@ def test_large_rapidity_constructs_and_composes():
     assert b.entries[0, 0] == pytest.approx(math.cosh(12.0), rel=1e-15)
     chained = boost_x(10.0) @ boost_x(10.0)
     assert chained.entries[0, 0] == pytest.approx(math.cosh(20.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("chi", [711.0, -711.0, 800.0, -800.0, 1e308])
+def test_boost_overflow_raises_range_error_naming_the_rapidity(chi):
+    # math.cosh overflows a double past |chi| ~ 710.5; the error must be a
+    # LorentzSkyError that names the rapidity, not a bare OverflowError.
+    with pytest.raises(RangeError, match=re.escape(repr(chi))):
+        boost_x(chi)
+    with pytest.raises(RangeError, match=re.escape(repr(chi))):
+        boost_axis((0.6, 0.0, 0.8), chi)
+    with pytest.raises(RangeError, match=re.escape(repr(abs(chi)))):
+        recompose(StandardDecomposition(np.eye(3), abs(chi), np.eye(3)))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 entries
+@pytest.mark.parametrize("chi", [math.nan, math.inf, -math.inf])
+def test_boost_non_finite_rapidity_is_not_lorentz(chi):
+    with pytest.raises(NotLorentz):
+        boost_x(chi)
+    with pytest.raises(NotLorentz):
+        boost_axis((0.0, 0.0, 1.0), chi)
 
 
 def test_rotation_embed_rejects_non_rotation():
