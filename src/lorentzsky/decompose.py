@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RangeError, WrongComponent
-from .minkowski import (DEFAULT_TOL, ComponentLabel, LorentzMatrix, Rapidity, _cosh_sinh,
+from .minkowski import (ComponentLabel, LorentzMatrix, Rapidity, _boost_terms,
                         _cross, _is_rotation, classify_component)
 
 _ROTATION_TOL = 1e-10
@@ -82,13 +82,13 @@ def standard_decompose(lam: LorentzMatrix) -> StandardDecomposition:
 
 def recompose(d: StandardDecomposition) -> LorentzMatrix:
     """Closed form of embed(r1) . boost_x(chi) . embed(r2), checked with boost_x's tolerance."""
-    ch, sh = _cosh_sinh(d.chi)
+    ch, sh, tol = _boost_terms(d.chi)
     m = np.empty((4, 4))
     m[0, 0] = ch
     m[0, 1:] = -sh * d.r2[0]
     m[1:, 0] = -sh * d.r1[:, 0]
     m[1:, 1:] = d.r1 @ (np.array([[ch], [1.0], [1.0]]) * d.r2)
-    return LorentzMatrix(m, DEFAULT_TOL * max(1.0, ch * ch))
+    return LorentzMatrix(m, tol)
 
 
 def rapidity_of(lam: LorentzMatrix) -> Rapidity:

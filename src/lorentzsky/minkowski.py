@@ -100,10 +100,10 @@ class LorentzMatrix:
 
     def __post_init__(self):
         if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
+            raise RangeError("tolerance must be positive")
         m = np.array(self.entries, dtype=float)
         if m.shape != (4, 4):
-            raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
+            raise RangeError(f"expected a 4x4 matrix, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
             raise NotLorentz(math.inf, "matrix has non-finite entries")
         residual = float(np.abs(m.T @ METRIC @ m - METRIC).max())
@@ -213,22 +213,27 @@ def add_velocities(v: float, w: float) -> float:
     return (v + w) / (1.0 + v * w)
 
 
-def _cosh_sinh(chi: Rapidity) -> tuple[float, float]:
-    """(cosh chi, sinh chi), RangeError past |chi| ~ 710.5; nan and inf pass through."""
+def _boost_terms(chi: Rapidity) -> tuple[float, float, float]:
+    """cosh chi, sinh chi and a boost's tolerance DEFAULT_TOL * max(1, cosh^2 chi).
+
+    Its rounding grows with cosh^2.  RangeError where cosh^2 overflows (|chi| >
+    ~355.3): an inf tolerance would accept any residual.  nan and inf pass through."""
     try:
-        return math.cosh(chi), math.sinh(chi)
+        ch, sh = math.cosh(chi), math.sinh(chi)
     except OverflowError:
-        raise RangeError(f"rapidity {chi!r} is out of range: cosh overflows a double") from None
+        ch = sh = math.inf
+    if math.isfinite(chi) and not math.isfinite(ch * ch):
+        raise RangeError(f"rapidity {chi!r} is out of range: cosh^2 overflows a double")
+    return ch, sh, DEFAULT_TOL * max(1.0, ch * ch)
 
 
 def boost_x(chi: Rapidity) -> LorentzMatrix:
     """Standard boost with rapidity chi along the x1 axis."""
-    ch, sh = _cosh_sinh(chi)
+    ch, sh, tol = _boost_terms(chi)
     m = np.eye(4)
     m[0, 0] = m[1, 1] = ch
     m[0, 1] = m[1, 0] = -sh
-    # cosh^2 - sinh^2 = 1 only up to rounding that grows with cosh^2.
-    return LorentzMatrix(m, DEFAULT_TOL * max(1.0, ch * ch))
+    return LorentzMatrix(m, tol)
 
 
 def _unit_axis(n: Iterable[float]) -> np.ndarray:
@@ -261,13 +266,12 @@ def boost_axis(n: Iterable[float], chi: Rapidity) -> LorentzMatrix:
     block is delta_ij + (cosh chi - 1) n_i n_j.
     """
     n = _unit_axis(n)
-    ch, sh = _cosh_sinh(chi)
+    ch, sh, tol = _boost_terms(chi)
     m = np.empty((4, 4))
     m[0, 0] = ch
     m[0, 1:] = m[1:, 0] = -sh * n
     m[1:, 1:] = np.eye(3) + (ch - 1.0) * np.outer(n, n)
-    # The same cosh^2-scaled tolerance as boost_x.
-    return LorentzMatrix(m, DEFAULT_TOL * max(1.0, ch * ch))
+    return LorentzMatrix(m, tol)
 
 
 def _is_rotation(r: np.ndarray, tol: float) -> bool:
@@ -307,9 +311,9 @@ def integrate_proper_acceleration(tau: np.ndarray, accel: np.ndarray) -> Rapidit
     tau = np.asarray(tau, dtype=float)
     accel = np.asarray(accel, dtype=float)
     if tau.shape != accel.shape or tau.ndim != 1 or tau.size < 2:
-        raise ValueError("tau and accel must be 1-d arrays of equal length >= 2")
+        raise RangeError("tau and accel must be 1-d arrays of equal length >= 2")
     if not (np.all(np.isfinite(tau)) and np.all(np.isfinite(accel))):
-        raise ValueError("samples must be finite")
+        raise RangeError("samples must be finite")
     if np.any(np.diff(tau) < 0):
-        raise ValueError("tau must be non-decreasing")
+        raise RangeError("tau must be non-decreasing")
     return float(np.trapezoid(accel, tau))

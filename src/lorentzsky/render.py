@@ -30,11 +30,11 @@ _HEMISPHERES = ("north", "south", "both")
 _BACKGROUND = (0, 0, 0)
 # The raster's per-pixel arrays scale with the image, so its size is capped.
 _MAX_PIXELS = 4096 * 4096
-# Discs rasterised together; a chunk's temporaries hold _CHUNK x 17 x 17 values.
+# Discs rasterised together; a chunk's temporaries hold _CHUNK x 14 x 14 values.
 _CHUNK = 1024
-# Pixel offsets across a disc's bounding box: ceil(x + r + 1) - floor(x - r - 1)
-# is below 2 r + 4 <= 16 up to rounding, so a box spans at most 17 pixels.
-_BOX = np.arange(17)
+# Offsets from x0 = floor(x - r - 1): an inside pixel lies in [x - r - 0.5, x + r - 0.5]
+# up to rounding, so its offset is at most 2 r + 1.5 <= 13.5 at the 6 px cap.
+_BOX = np.arange(14, dtype=np.int32)
 
 # Blackbody temperature -> sRGB, sampled once and frozen; linearly
 # interpolated and clamped at the ends.
@@ -213,22 +213,23 @@ def _render_ppm(placed, spec: RenderSpec) -> bytes:
     """
     w, h = spec.width, spec.height
     x, y, rad, rgb = placed
-    owner = np.full(h * w, -1, dtype=np.int64)
+    # int32 indices: h * w <= 4096**2, and 2**31 discs would need > 30 GB of catalog.
+    owner = np.full(h * w, -1, dtype=np.int32)
     for start in range(0, len(x), _CHUNK):
         cx, cy, r = (a[start:start + _CHUNK, None, None] for a in (x, y, rad))
-        x0 = np.maximum(0, np.floor(cx - r - 1)).astype(np.int64)
-        x1 = np.minimum(w - 1, np.ceil(cx + r + 1)).astype(np.int64)
-        y0 = np.maximum(0, np.floor(cy - r - 1)).astype(np.int64)
-        y1 = np.minimum(h - 1, np.ceil(cy + r + 1)).astype(np.int64)
+        x0 = np.maximum(0, np.floor(cx - r - 1)).astype(np.int32)
+        x1 = np.minimum(w - 1, np.ceil(cx + r + 1)).astype(np.int32)
+        y0 = np.maximum(0, np.floor(cy - r - 1)).astype(np.int32)
+        y1 = np.minimum(h - 1, np.ceil(cy + r + 1)).astype(np.int32)
         px, py = x0 + _BOX, y0 + _BOX[:, None]
         # Squared offsets per column and per row; inf outside the box.
         dx2 = np.where(px <= x1, (px + 0.5 - cx) ** 2, np.inf)
         dy2 = np.where(py <= y1, (py + 0.5 - cy) ** 2, np.inf)
         inside = dx2 + dy2 <= r * r
-        disc = np.repeat(np.arange(start, start + len(cx)), inside.sum(axis=(1, 2)))
+        disc = np.repeat(np.arange(start, start + len(cx), dtype=np.int32),
+                         inside.sum(axis=(1, 2)))
         np.maximum.at(owner, (py * w + px)[inside], disc)
-    img = np.full((h * w, 3), _BACKGROUND, dtype=np.uint8)
-    drawn = owner >= 0
-    img[drawn] = rgb[owner[drawn]]
+    palette = np.concatenate([np.array([_BACKGROUND], dtype=np.uint8), rgb])
+    img = palette[owner + 1]
     header = f"P6\n{w} {h}\n255\n".encode("ascii")
     return header + img.tobytes()

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfinityPoint, NotOnSphere
+from .errors import InfinityPoint, NotOnSphere, RangeError
 from .spin import SL2CElement
 
 #: Two points are identified when |z1 w2 - z2 w1| is below this.
@@ -36,9 +36,9 @@ class PolarAngles:
         object.__setattr__(self, "theta", float(self.theta))
         object.__setattr__(self, "phi", float(self.phi))
         if not -1e-12 <= self.theta <= math.pi + 1e-12:
-            raise ValueError(f"theta = {self.theta} outside [0, pi]")
+            raise RangeError(f"theta = {self.theta} outside [0, pi]")
         if not -1e-12 <= self.phi < 2.0 * math.pi + 1e-12:
-            raise ValueError(f"phi = {self.phi} outside [0, 2 pi)")
+            raise RangeError(f"phi = {self.phi} outside [0, 2 pi)")
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ class SpherePoint:
         z1, z2 = complex(self.z1), complex(self.z2)
         norm = math.hypot(abs(z1), abs(z2))
         if norm == 0.0 or not math.isfinite(norm):
-            raise ValueError("homogeneous coordinates must be finite and not both zero")
+            raise RangeError("homogeneous coordinates must be finite and not both zero")
         # Skip the division when already normalized so that exact identity
         # maps stay bit-identical.
         if abs(norm - 1.0) > _NORM_SKIP:
@@ -141,7 +141,7 @@ def sphere_metric_factor(q: SpherePoint, r: float) -> float:
     if q.is_infinity:
         raise InfinityPoint("metric factor in the affine chart needs a finite point")
     if r <= 0:
-        raise ValueError("radius must be positive")
+        raise RangeError("radius must be positive")
     return 4.0 * r * r * abs(q.z2) ** 4
 
 
@@ -180,7 +180,7 @@ class MoebiusTransform:
         """z -> -b^2/z, swapping the poles; b must be non-zero."""
         b = complex(b)
         if b == 0:
-            raise ValueError("special conformal parameter must be non-zero")
+            raise RangeError("special conformal parameter must be non-zero")
         return cls(SL2CElement(0.0, -b, 1.0 / b, 0.0))
 
     def apply(self, q: SpherePoint) -> SpherePoint:

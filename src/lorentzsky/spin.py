@@ -170,7 +170,7 @@ class HermitianSlot:
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (2, 2):
-            raise ValueError("expected a 2x2 matrix")
+            raise RangeError("expected a 2x2 matrix")
         residual = float(np.abs(m - m.conj().T).max())
         if residual > _HERMITIAN_TOL:
             raise NotHermitian(f"Hermiticity residual {residual:.3e} exceeds {_HERMITIAN_TOL}")

@@ -16,6 +16,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import IO, Sequence
 
@@ -28,6 +29,7 @@ from .sphere import _NORM_SKIP
 
 _HEADER = ["name", "ra_deg", "dec_deg", "vmag", "temp_k"]
 _DEFAULT_TEMP_K = 5778.0
+_BLOCK = 4096   # catalog lines parsed together as plain text
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,39 +107,75 @@ def load_catalog(source: str | Path | IO[str]) -> Catalog:
     The temp_k column may be omitted (default 5778).  Malformed rows raise
     :class:`ParseError` with the offending line number; out-of-range values
     raise :class:`RangeError`.  Either error names the first bad line.
+
+    The body is read in blocks of _BLOCK lines, the units csv.reader reads;
+    plain blocks (see :func:`_plain_block`) are split as text.  The per-row csv
+    loop :func:`_parse_rows`, the reference parser and the error path, parses
+    everything from the first other block on, so a catalog with quoted names,
+    CRLF line endings or blank lines is parsed by it from the first such block.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as fh:
-            return _parse_catalog(fh)
-    return _parse_catalog(source)
-
-
-def _parse_catalog(stream: IO[str]) -> Catalog:
+            return load_catalog(fh)
+    stream = iter(source)
     reader = csv.reader(stream)
+    offset = 0   # physical lines read before reader's first
+    names, blocks = [], []   # blocks: (5, rows), the four values and the line number
     try:
-        return _parse_rows(reader)
-    except csv.Error as exc:  # such as a field longer than csv.field_size_limit()
-        raise ParseError(reader.line_num, str(exc)) from None
+        if (header := next(reader, None)) is None:
+            raise ParseError(1, "missing header row")
+        header = [h.strip() for h in header]
+        if header not in (_HEADER, _HEADER[:4]):
+            raise ParseError(1, f"expected header {','.join(_HEADER)} "
+                                f"(temp_k optional), got {','.join(header)}")
+        offset = reader.line_num
+        while rows := list(islice(stream, _BLOCK)):
+            plain = _plain_block(rows, len(header), offset)
+            if plain is None:
+                reader = csv.reader(chain(rows, stream))
+                _parse_rows(reader, offset, len(header), names, blocks)
+                break
+            names += plain[0]
+            blocks.append(plain[1])
+            offset += len(rows)
+    except (ParseError, csv.Error) as exc:
+        _columns(blocks)  # an out-of-range value on an earlier line comes first
+        if isinstance(exc, csv.Error):  # such as a field longer than csv.field_size_limit()
+            raise ParseError(offset + reader.line_num, str(exc)) from None
+        raise
+    return Catalog(names, *_columns(blocks))
 
 
-def _parse_rows(reader) -> Catalog:
+def _plain_block(rows: list[str], n_cols: int, offset: int) -> tuple[list[str], np.ndarray] | None:
+    """Names and (5, len(rows)) values and line numbers of plain rows, else None.
+
+    Plain rows need no csv rule: no quote, CR or NUL, n_cols - 1 commas each (so
+    no blank line), no line over the csv field limit, a name and float() numbers.
+    """
+    text = "".join(rows)
+    if ('"' in text or "\r" in text or "\0" in text
+            or set(map(str.count, rows, repeat(","))) != {n_cols - 1}
+            or max(map(len, rows)) > csv.field_size_limit()):
+        return None
+    fields = text.replace("\n", ",").split(",")
+    names = list(map(str.strip, fields[:-1:n_cols]))  # [:-1]: a final newline's empty field
+    values = np.full((5, len(rows)), _DEFAULT_TEMP_K)
+    values[4] = np.arange(offset + 1, offset + 1 + len(rows))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError(1, "missing header row") from None
-    header = [h.strip() for h in header]
-    if header not in (_HEADER, _HEADER[:4]):
-        raise ParseError(1, f"expected header {','.join(_HEADER)} "
-                            f"(temp_k optional), got {','.join(header)}")
-    n_cols = len(header)
+        for k in range(1, n_cols):
+            values[k - 1] = np.fromiter(map(float, fields[k::n_cols]), float, len(rows))
+    except ValueError:
+        return None
+    return (names, values) if all(names) else None
+
+
+def _parse_rows(reader, offset: int, n_cols: int, names: list[str], blocks: list) -> None:
+    """Append reader's rows, numbered from offset, to names and blocks, even on error."""
     pad = () if n_cols == len(_HEADER) else (_DEFAULT_TEMP_K,)
-
-    names: list[str] = []
-    values: list[float] = []   # the rows' four values, flattened
-    lines: list[int] = []
+    values: list[float] = []   # each row's four values and line number, flattened
     try:
         for row in reader:
-            line = reader.line_num   # the row's last line: a quoted field may span several
+            line = offset + reader.line_num   # its last line: a quoted field may span several
             if not row:
                 continue  # blank line
             if len(row) != n_cols:
@@ -146,7 +184,7 @@ def _parse_rows(reader) -> Catalog:
             if not name:
                 raise ParseError(line, "column name: empty")
             try:
-                values.extend(tuple(map(float, row[1:])) + pad)
+                values.extend(tuple(map(float, row[1:])) + pad + (line,))
             except ValueError:
                 for col, text in zip(_HEADER[1:], row[1:]):
                     try:
@@ -155,18 +193,15 @@ def _parse_rows(reader) -> Catalog:
                         raise ParseError(line, f"column {col}: not a number: "
                                                f"{text!r}") from None
             names.append(name)
-            lines.append(line)
-    except (ParseError, csv.Error):
-        _columns(values, lines)  # an out-of-range value on an earlier line comes first
-        raise
-    return Catalog(names, *_columns(values, lines))
+    finally:
+        blocks.append(np.array(values, dtype=float).reshape(-1, 5).T)
 
 
-def _columns(values: list[float], lines: list[int]) -> np.ndarray:
-    """The parsed rows as four columns; RangeError names the first bad row's line."""
-    columns = np.array(values, dtype=float).reshape(-1, 4).T
-    _check_ranges(columns, lambda row: f"line {lines[row]}")
-    return columns
+def _columns(blocks: list[np.ndarray]) -> np.ndarray:
+    """The parsed blocks' four value columns; RangeError names the first bad row's line."""
+    columns = np.concatenate([np.empty((5, 0)), *blocks], axis=1)
+    _check_ranges(columns[:4], lambda row: f"line {int(columns[4, row])}")
+    return columns[:4]
 
 
 def _normalized(z1r, z1i, z2r, z2i):

@@ -5,11 +5,13 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from catalog_strategies import catalog_texts
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -343,4 +345,62 @@ def test_json_stdin_never_escapes_cli_main(command, text):
         code = cli_main([command])
     assert code in (0, 1, 2)
     if code:
+        assert err.getvalue().startswith("error: ")
+
+
+# argv tokens: {catalog}, {out}, {dir} and {missing} stand for paths in a temporary directory.
+_NUMBER_ARGS = st.one_of(st.floats().map(repr), st.integers(-10**30, 10**30).map(str),
+                         st.sampled_from(["nan", "-inf", "1e400", "", "x", "0x1p3", "-1", "--json"]))
+_SIZE_ARGS = st.one_of(*[st.integers(-3, 48).map(str)] * 4,
+                       st.sampled_from(["99999", "1.5", "", "abc"]))
+_PATH_ARGS = st.sampled_from(["{catalog}", "{out}", "{dir}", "{missing}", ""])
+_RENDER_OPTIONS = {
+    "--chi": _NUMBER_ARGS, "--input": _PATH_ARGS, "--out": _PATH_ARGS,
+    "--format": st.sampled_from(["svg", "ppm"] * 4 + ["png"]),
+    "--projection": st.sampled_from(["stereographic", "orthographic"] * 4 + ["gnomonic"]),
+    "--hemisphere": st.sampled_from(["north", "south", "both"] * 3 + ["east"]),
+    "--width": _SIZE_ARGS, "--height": _SIZE_ARGS, "--json": None,
+}
+_ABERRATE_OPTIONS = {"--chi": _NUMBER_ARGS, "--theta-deg": _NUMBER_ARGS, "--json": None,
+                     "--out": _PATH_ARGS, "-h": None}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["render", "render", "aberrate"]))
+    options = _RENDER_OPTIONS if command == "render" else _ABERRATE_OPTIONS
+    # mostly the required options; argparse keeps the last of repeated ones
+    required = {"render": ["--input", "{catalog}", "--out", "{out}"],
+                "aberrate": ["--chi=0.5", "--theta-deg=30"]}[command]
+    argv = [command] + (required if draw(st.integers(0, 3)) else [])
+    for flag in draw(st.lists(st.sampled_from(sorted(options)), unique=True)):
+        if options[flag] is None:
+            argv.append(flag)
+        elif not draw(st.integers(0, 19)):
+            argv.append(flag)  # its value missing
+        else:  # "--chi=-1e+300" passes a negative value that "--chi -1e+300" cannot
+            value = draw(options[flag])
+            argv += draw(st.sampled_from([[flag, value], [f"{flag}={value}"]]))
+    if not draw(st.integers(0, 19)):
+        argv.append(draw(st.sampled_from(["--bogus", "stray", "-"])))
+    return argv
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_argv(), catalog_texts())
+@example(["render", "--input", "{catalog}", "--out", "{out}", "--format", "ppm", "--json"],
+         "name,ra_deg,dec_deg,vmag,temp_k\na,1,90,3,4000\n")
+@example(["aberrate", "--chi", "1", "--theta-deg", "90", "--out", "{dir}"], "")
+def test_argv_never_escapes_cli_main(argv, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"catalog": Path(tmp, "stars.csv"), "out": Path(tmp, "image"),
+                 "dir": Path(tmp), "missing": Path(tmp, "no", "such")}
+        paths["catalog"].write_text(text, encoding="utf-8", newline="")
+        argv = [token.format(**paths) for token in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
         assert err.getvalue().startswith("error: ")

@@ -1,4 +1,4 @@
-"""Every element-type check raises a LorentzSkyError (a RangeError, which is
+"""Every element-type and argument check raises a LorentzSkyError (a RangeError, which is
 also the ValueError these checks raised before)."""
 
 import math
@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from lorentzsky import (FourVector, SL2CElement, SL2RElement, SpherePoint,
+from lorentzsky import (FourVector, HermitianSlot, LorentzMatrix, MoebiusTransform,
+                        PolarAngles, SL2CElement, SL2RElement, SpherePoint,
                         StandardDecomposition, SU2Element, aberrate, doppler,
-                        rotation_embed)
+                        integrate_proper_acceleration, rotation_embed,
+                        sphere_metric_factor)
 from lorentzsky.celestial import BondiPoint
 from lorentzsky.errors import LorentzSkyError, RangeError
 
@@ -35,6 +37,20 @@ SITES = {
     "aberrate_theta": lambda: aberrate(1.0, -0.1),
     "aberrate_nan_theta": lambda: aberrate(1.0, math.nan),
     "doppler_theta": lambda: doppler(1.0, 4.0),
+    "polar_theta": lambda: PolarAngles(4.0, 0.0),
+    "polar_phi": lambda: PolarAngles(1.0, 7.0),
+    "sphere_point_zero": lambda: SpherePoint(0.0, 0.0),
+    "sphere_point_inf": lambda: SpherePoint(math.inf, 1.0),
+    "sphere_metric_radius": lambda: sphere_metric_factor(Q, 0.0),
+    "moebius_special_zero": lambda: MoebiusTransform.special(0.0),
+    "hermitian_shape": lambda: HermitianSlot(np.eye(3)),
+    "lorentz_tolerance": lambda: LorentzMatrix(np.eye(4), 0.0),
+    "lorentz_shape": lambda: LorentzMatrix(np.eye(3)),
+    "proper_acceleration_shape": lambda: integrate_proper_acceleration([0.0], [1.0]),
+    "proper_acceleration_nan": lambda: integrate_proper_acceleration([0.0, 1.0],
+                                                                     [1.0, math.nan]),
+    "proper_acceleration_order": lambda: integrate_proper_acceleration([1.0, 0.0],
+                                                                       [1.0, 1.0]),
 }
 
 

@@ -15,6 +15,7 @@ from lorentzsky import (ComponentLabel, FourVector, METRIC, PoincareTransform,
                         recompose, StandardDecomposition, validate_lorentz,
                         velocity_from_rapidity)
 from lorentzsky.errors import BadAxis, NotLorentz, RangeError, SpeedLimit
+from lorentzsky.minkowski import DEFAULT_TOL
 from lorentzsky.sampling import random_proper_orthochronous, random_rotation
 
 LN2 = 0.6931471805599453
@@ -201,16 +202,28 @@ def test_large_rapidity_constructs_and_composes():
     assert chained.entries[0, 0] == pytest.approx(math.cosh(20.0), rel=1e-12)
 
 
-@pytest.mark.parametrize("chi", [711.0, -711.0, 800.0, -800.0, 1e308])
+@pytest.mark.parametrize("chi", [711.0, -711.0, 800.0, -800.0, 1e308, 356.0, -356.0, 400.0,
+                                 700.0])
 def test_boost_overflow_raises_range_error_naming_the_rapidity(chi):
-    # math.cosh overflows a double past |chi| ~ 710.5; the error must be a
-    # LorentzSkyError that names the rapidity, not a bare OverflowError.
+    # math.cosh overflows a double past |chi| ~ 710.5, and cosh^2, which sets
+    # the tolerance, past |chi| ~ 355.3, where an inf tolerance would accept an
+    # inf residual.  The error must be a LorentzSkyError that names the rapidity.
     with pytest.raises(RangeError, match=re.escape(repr(chi))):
         boost_x(chi)
     with pytest.raises(RangeError, match=re.escape(repr(chi))):
         boost_axis((0.6, 0.0, 0.8), chi)
     with pytest.raises(RangeError, match=re.escape(repr(abs(chi)))):
         recompose(StandardDecomposition(np.eye(3), abs(chi), np.eye(3)))
+
+
+@pytest.mark.parametrize("chi", [355.0, -355.0])
+def test_boost_below_the_cosh_squared_limit_keeps_a_finite_tolerance(chi):
+    for lam in (boost_x(chi), boost_axis((0.0, 0.0, 1.0), chi),
+                recompose(StandardDecomposition(np.eye(3), abs(chi), np.eye(3)))):
+        ch = math.cosh(chi)
+        assert math.isfinite(lam.tol)
+        assert lam.tol == DEFAULT_TOL * (ch * ch)
+        assert lam.residual <= lam.tol
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 entries

@@ -196,3 +196,34 @@ def test_ppm_raster_equals_the_disc_loop(rng):
     placed[0][:200] = np.round(placed[0][:200]) + 0.5
     placed[2][:200] = np.round(placed[2][:200])
     assert _render_ppm(placed, spec) == _ppm_disc_loop(placed, spec)
+
+
+def _ppm_pixel_painter(placed, spec):
+    """The raster by brute force: every disc tested against every pixel of the image."""
+    ys, xs = np.mgrid[0:spec.height, 0:spec.width]
+    img = np.zeros((spec.height, spec.width, 3), dtype=np.uint8)
+    for x, y, rad, rgb in zip(*(a.tolist() for a in placed)):
+        img[(xs + 0.5 - x) ** 2 + (ys + 0.5 - y) ** 2 <= rad * rad] = rgb
+    return f"P6\n{spec.width} {spec.height}\n255\n".encode("ascii") + img.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_ppm_raster_equals_the_pixel_painter(seed):
+    # no bounding box in the reference, so a box too small for a 6 px disc shows
+    rng = np.random.default_rng(seed)
+    spec = RenderSpec(format="ppm", width=int(rng.integers(16, 48)),
+                      height=int(rng.integers(16, 48)))
+    n = int(rng.integers(1, 80))
+    x = rng.uniform(-8.0, spec.width + 8.0, n)
+    y = rng.uniform(-8.0, spec.height + 8.0, n)
+    rad = rng.uniform(1.0, 6.0, n)
+    # exact half- and quarter-pixel centres; whole radii and the 6 px cap
+    grid = rng.choice([0.5, 0.25], n)
+    snap = rng.random(n) < 0.6
+    x[snap] = np.round(x[snap] / grid[snap]) * grid[snap]
+    y[snap] = np.round(y[snap] / grid[snap]) * grid[snap]
+    rad[rng.random(n) < 0.3] = 6.0
+    whole = rng.random(n) < 0.3
+    rad[whole] = np.round(rad[whole])
+    placed = (x, y, rad, rng.integers(0, 256, (n, 3), dtype=np.uint8))
+    assert _render_ppm(placed, spec) == _ppm_pixel_painter(placed, spec)
