@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotNull, NotOrthochronous, OriginDirectionUndefined, RangeError
-from .minkowski import FourVector, LorentzMatrix, Rapidity, interval_squared
+from .minkowski import FourVector, LorentzMatrix, Rapidity, _require_finite, interval_squared
 from .sphere import MoebiusTransform, SpherePoint, inverse_stereo, stereo_project
 from .spin import SL2CElement
 
@@ -40,23 +40,36 @@ class BondiPoint:
             raise RangeError("r must be non-negative")
 
 
-def bondi_from_inertial(x: FourVector) -> BondiPoint:
-    """(u, r, q) of an event; undefined at the spatial origin."""
-    r = float(np.linalg.norm(x.spatial))
+def _bondi(x0: float, x1: float, x2: float, x3: float) -> BondiPoint:
+    r = math.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
     if r <= _ORIGIN_EPS:
         raise OriginDirectionUndefined("the spatial origin has no direction")
-    return BondiPoint(x.x0 + r, r, stereo_project(x.x1, x.x2, x.x3, r))
+    return BondiPoint(x0 + r, r, stereo_project(x1, x2, x3, r))
+
+
+def _inertial(b: BondiPoint) -> tuple[float, float, float, float]:
+    x1, x2, x3 = inverse_stereo(b.q, b.r) if b.r > 0 else (0.0, 0.0, 0.0)
+    return b.u - b.r, x1, x2, x3
+
+
+def bondi_from_inertial(x: FourVector) -> BondiPoint:
+    """(u, r, q) of an event; undefined at the spatial origin."""
+    return _bondi(x.x0, x.x1, x.x2, x.x3)
 
 
 def inertial_from_bondi(b: BondiPoint) -> FourVector:
     """Inverse of :func:`bondi_from_inertial`."""
-    x1, x2, x3 = inverse_stereo(b.q, b.r) if b.r > 0 else (0.0, 0.0, 0.0)
-    return FourVector(b.u - b.r, x1, x2, x3)
+    return FourVector(*_inertial(b))
 
 
 def act_exact(lam: LorentzMatrix, b: BondiPoint) -> BondiPoint:
-    """Exact finite-radius action: through inertial coordinates and back."""
-    return bondi_from_inertial(lam.apply(inertial_from_bondi(b)))
+    """Exact finite-radius action: bondi_from_inertial(lam.apply(inertial_from_bondi(b))),
+    bit for bit and with the same errors, without the intermediate four-vectors."""
+    x = _inertial(b)
+    _require_finite(x)
+    y = (lam.entries @ np.array(x)).tolist()
+    _require_finite(y)
+    return _bondi(*y)
 
 
 @dataclass(frozen=True)

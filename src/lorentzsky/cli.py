@@ -10,6 +10,7 @@ JSON {"m": [[row0], [row1], [row2], [row3]]}; complex numbers as
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import sys
@@ -178,7 +179,11 @@ def _cmd_render(args: argparse.Namespace) -> int:
                       height=args.height, format=args.format,
                       hemisphere=args.hemisphere)
     sky = transform_catalog(load_catalog(args.input), args.chi)
-    Path(args.out).write_bytes(render(sky, spec))
+    # The drop count reaches stderr only once the image is written, so a
+    # failed write leaves "error: ..." as the only message.
+    diagnostics = io.StringIO()
+    Path(args.out).write_bytes(render(sky, spec, diagnostics))
+    sys.stderr.write(diagnostics.getvalue())
     if args.json:
         # The bytes of json.dumps({"out": ..., "count": ..., "stars": [...]}),
         # written without building the dicts.

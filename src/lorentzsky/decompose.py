@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import RangeError, WrongComponent
-from .minkowski import (ComponentLabel, LorentzMatrix, Rapidity, _boost_terms,
-                        _cross, _is_rotation, classify_component)
+from .minkowski import (ComponentLabel, LorentzMatrix, Rapidity, _are_rotations,
+                        _boost_terms, classify_component)
 
 _ROTATION_TOL = 1e-10
 _PURE_ROTATION_THRESHOLD = 1e-12
@@ -28,9 +29,12 @@ class StandardDecomposition:
     r2: np.ndarray
 
     def __post_init__(self):
-        for name in ("r1", "r2"):
-            r = np.array(getattr(self, name), dtype=float)
-            if not _is_rotation(r, _ROTATION_TOL):
+        names = ("r1", "r2")
+        rs = [np.array(getattr(self, name), dtype=float) for name in names]
+        shaped = [r.shape == (3, 3) for r in rs]
+        ok = _are_rotations(np.array(rs), _ROTATION_TOL) if all(shaped) else shaped
+        for name, r, good in zip(names, rs, ok):
+            if not good:
                 raise RangeError(f"{name} must be a 3x3 rotation with det +1")
             r.setflags(write=False)
             object.__setattr__(self, name, r)
@@ -38,18 +42,25 @@ class StandardDecomposition:
             raise RangeError("chi must be non-negative")
 
 
-def _frame_taking_e1_to(n: np.ndarray) -> np.ndarray:
-    """A rotation with first column the unit vector n.
+def _cross(a: Sequence[float], b: Sequence[float]) -> list[float]:
+    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+
+
+def _unit(v: Sequence[float]) -> list[float]:
+    norm = math.hypot(*v)
+    return [x / norm for x in v]
+
+
+def _frame_taking_e1_to(n: list[float]) -> tuple[list[float], ...]:
+    """Columns of a rotation whose first column is the unit vector n.
 
     The second column is Gram-Schmidt on the coordinate axis least aligned
     with n, whose residual has norm at least sqrt(2/3); the third column is
     n x (second column), so det is +1.
     """
-    seed = np.zeros(3)
-    seed[int(np.argmin(np.abs(n)))] = 1.0
-    u = seed - (seed @ n) * n
-    c1 = u / np.linalg.norm(u)
-    return np.column_stack([n, c1, _cross(n, c1)])
+    k = min(range(3), key=lambda i: abs(n[i]))
+    c1 = _unit([float(i == k) - n[k] * x for i, x in enumerate(n)])
+    return n, c1, _cross(n, c1)
 
 
 def standard_decompose(lam: LorentzMatrix) -> StandardDecomposition:
@@ -67,17 +78,19 @@ def standard_decompose(lam: LorentzMatrix) -> StandardDecomposition:
     """
     if classify_component(lam) is not ComponentLabel.PROPER_ORTHOCHRONOUS:
         raise WrongComponent("standard decomposition needs a proper orthochronous matrix")
-    m = lam.entries
-    norm_a = float(np.linalg.norm(m[1:, 0]))
+    a, block_cols = (-lam.entries[1:, 0]).tolist(), lam.entries[1:, 1:].T.tolist()
+    norm_a = math.hypot(*a)
     if norm_a <= _PURE_ROTATION_THRESHOLD:
-        r1, chi = np.eye(3), 0.0
+        r1_cols, chi = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)), 0.0
     else:
-        r1, chi = _frame_taking_e1_to(-m[1:, 0] / norm_a), math.asinh(norm_a)
-    rows = r1.T @ m[1:, 1:]
-    f1 = rows[0] / np.linalg.norm(rows[0])
-    f2 = rows[1] - (rows[1] @ f1) * f1
-    f2 = f2 / np.linalg.norm(f2)
-    return StandardDecomposition(r1, chi, np.vstack([f1, f2, _cross(f1, f2)]))
+        r1_cols, chi = _frame_taking_e1_to([x / norm_a for x in a]), math.asinh(norm_a)
+    # rows 0 and 1 of r1^T lam[1:, 1:]
+    row0, row1 = ([c[0] * b0 + c[1] * b1 + c[2] * b2 for b0, b1, b2 in block_cols]
+                  for c in r1_cols[:2])
+    f1 = _unit(row0)
+    dot = row1[0] * f1[0] + row1[1] * f1[1] + row1[2] * f1[2]
+    f2 = _unit([x - dot * y for x, y in zip(row1, f1)])
+    return StandardDecomposition(np.array(r1_cols).T, chi, np.array([f1, f2, _cross(f1, f2)]))
 
 
 def recompose(d: StandardDecomposition) -> LorentzMatrix:
@@ -99,4 +112,4 @@ def rapidity_of(lam: LorentzMatrix) -> Rapidity:
     """
     if classify_component(lam) is not ComponentLabel.PROPER_ORTHOCHRONOUS:
         raise WrongComponent("rapidity is defined for proper orthochronous matrices")
-    return math.asinh(float(np.linalg.norm(lam.entries[1:, 0])))
+    return math.asinh(math.hypot(*lam.entries[1:, 0].tolist()))

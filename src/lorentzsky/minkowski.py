@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -21,9 +21,23 @@ DEFAULT_TOL = 1e-9
 #: Metric matrix diag(-1, 1, 1, 1).
 METRIC = np.diag([-1.0, 1.0, 1.0, 1.0])
 METRIC.setflags(write=False)
+_ETA = METRIC.diagonal().copy()
+_I3 = np.eye(3)
 
 #: Rapidity is the additive boost parameter; a plain dimensionless float.
 Rapidity = float
+
+
+_COMPONENTS = ("x0", "x1", "x2", "x3")
+
+
+def _require_finite(x: Sequence[float]) -> None:
+    """RangeError naming the first non-finite component of (x0, x1, x2, x3)."""
+    if math.isfinite(sum(x)):  # else a component is not finite, or the sum overflowed
+        return
+    for name, v in zip(_COMPONENTS, x):
+        if not math.isfinite(v):
+            raise RangeError(f"four-vector component {name} must be finite, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -36,11 +50,9 @@ class FourVector:
     x3: float
 
     def __post_init__(self):
-        for name in ("x0", "x1", "x2", "x3"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise RangeError(f"four-vector component {name} must be finite, got {v!r}")
-            object.__setattr__(self, name, float(v))
+        _require_finite((self.x0, self.x1, self.x2, self.x3))
+        for name in _COMPONENTS:
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     @classmethod
     def from_array(cls, arr: Iterable[float]) -> "FourVector":
@@ -86,7 +98,9 @@ class LorentzMatrix:
 
     Construction raises :class:`NotLorentz` when the metric-preservation
     residual exceeds ``tol``; |det| and |M00| are also checked, which pins
-    down the component structure.  Instances are immutable.
+    down the component structure (|det| as read by :func:`_det`; once
+    ``tol`` reaches 1, as a boost's does from chi ~ 11.05, that check no
+    longer bounds det away from 0).  Instances are immutable.
     """
 
     entries: np.ndarray
@@ -104,15 +118,20 @@ class LorentzMatrix:
         m = np.array(self.entries, dtype=float)
         if m.shape != (4, 4):
             raise RangeError(f"expected a 4x4 matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
+        flat = m.ravel().tolist()
+        # A nan or inf entry makes the sum non-finite; so can an overflow.
+        if not math.isfinite(sum(flat)) and not np.isfinite(m).all():
             raise NotLorentz(math.inf, "matrix has non-finite entries")
-        residual = float(np.abs(m.T @ METRIC @ m - METRIC).max())
-        if residual > self.tol:
+        # m^T eta is m^T with column 0 negated: the bits of m^T @ METRIC @ m.
+        # "not <=" rejects a nan residual too (inf - inf from overflowing products).
+        residual = float(np.abs((m.T * _ETA) @ m - METRIC).max())
+        if not residual <= self.tol:
             raise NotLorentz(residual)
-        if abs(abs(float(np.linalg.det(m))) - 1.0) > self.tol:
-            raise NotLorentz(residual, "determinant is not +-1 within tolerance")
-        if abs(m[0, 0]) < 1.0 - self.tol:
+        # residual <= tol < 1 gives |m00| >= sqrt(1 - tol); _det divides by m00
+        if abs(flat[0]) < 1.0 - self.tol or flat[0] == 0.0:
             raise NotLorentz(residual, "0-0 entry has magnitude below 1")
+        if abs(abs(_det(flat)) - 1.0) > self.tol:
+            raise NotLorentz(residual, "determinant is not +-1 within tolerance")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
         object.__setattr__(self, "residual", residual)
@@ -142,19 +161,36 @@ def validate_lorentz(m: np.ndarray | Iterable[Iterable[float]],
     return LorentzMatrix(np.asarray(m, dtype=float), tol)
 
 
-def classify_component(lam: LorentzMatrix) -> ComponentLabel:
-    """Component from the signs of det and of the 0-0 entry.
+def _triple(a0: float, a1: float, a2: float, b0: float, b1: float, b2: float,
+            c0: float, c1: float, c2: float) -> float:
+    """a . (b x c): the determinant of the 3x3 matrix with rows a, b, c."""
+    return a0 * (b1 * c2 - b2 * c1) + a1 * (b2 * c0 - b0 * c2) + a2 * (b0 * c1 - b1 * c0)
 
-    The determinant sign is read as sign(lam_00) * sign(det of the spatial
-    3x3 block): lam^-1 = eta lam^T eta, and comparing the 0-0 entries gives
-    det lam[1:, 1:] = det lam * lam_00, of magnitude at least 1.  The block
-    has condition number ~cosh(chi), against e^(2 chi) for the 4x4
-    determinant, which reads 0 from rapidity ~17 on; the block keeps the
-    sign resolvable at least to chi = 34.
+
+def _det(flat: list[float]) -> float:
+    """det m of a Lorentz matrix m, given as its 16 entries, read as det m[1:, 1:] / m00.
+
+    m^-1 = eta m^T eta, and comparing the 0-0 entries gives det m[1:, 1:] =
+    det m * m00.  The 4x4 determinant reads 0 from rapidity ~17 on and
+    overflows for an oblique boost from ~178; dividing the first block row by
+    m00 before the triple product keeps every product below ~cosh^2 chi,
+    finite up to |chi| ~ 355.3 (past chi ~ 34 the value is rounding).
+    """
+    m00 = flat[0]
+    return _triple(flat[5] / m00, flat[6] / m00, flat[7] / m00, *flat[9:12], *flat[13:16])
+
+
+def classify_component(lam: LorentzMatrix) -> ComponentLabel:
+    """Component from the signs of det (see :func:`_det`) and of the 0-0 entry.
+
+    For a pure boost the sign holds at least to chi = 34.  A boost between
+    two rotations rounds its entries by ~cosh(chi) ulp, which moves det of
+    the block by ~cosh^3 ulp against its size cosh chi: from chi ~ 20 on
+    such a product can be labelled improper.
     """
     m = lam.entries
     orthochronous = m[0, 0] > 0
-    proper = (float(m[1, 1:] @ _cross(m[2, 1:], m[3, 1:])) > 0) == orthochronous
+    proper = _det(m.ravel().tolist()) > 0
     if proper:
         return (ComponentLabel.PROPER_ORTHOCHRONOUS if orthochronous
                 else ComponentLabel.PROPER_ANTICHRONOUS)
@@ -251,13 +287,6 @@ def rotation_about_axis(n: Iterable[float], chi_or_angle: float) -> np.ndarray:
     return np.eye(3) + s * k + (1.0 - c) * (k @ k)
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a x b for 3-vectors: the products np.cross forms, without its ~30 us overhead."""
-    a0, a1, a2 = a.tolist()
-    b0, b1, b2 = b.tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
-
-
 def boost_axis(n: Iterable[float], chi: Rapidity) -> LorentzMatrix:
     """Boost with rapidity chi along the unit 3-vector ``n``.
 
@@ -274,16 +303,17 @@ def boost_axis(n: Iterable[float], chi: Rapidity) -> LorentzMatrix:
     return LorentzMatrix(m, tol)
 
 
-def _is_rotation(r: np.ndarray, tol: float) -> bool:
-    """3x3, orthogonal within ``tol`` (max-norm), and det > 0 by the triple product."""
-    return (r.shape == (3, 3) and np.abs(r.T @ r - np.eye(3)).max() <= tol
-            and float(r[0] @ _cross(r[1], r[2])) > 0)
+def _are_rotations(r: np.ndarray, tol: float) -> list[bool]:
+    """For each 3x3 matrix of the stack ``r`` (shape (k, 3, 3)): orthogonal
+    within ``tol`` (max-norm), and det > 0 by the triple product."""
+    orthogonal = (np.abs(r.transpose(0, 2, 1) @ r - _I3).max(axis=(1, 2)) <= tol).tolist()
+    return [ok and _triple(*rows) > 0 for ok, rows in zip(orthogonal, r.reshape(-1, 9).tolist())]
 
 
 def rotation_embed(r: np.ndarray) -> LorentzMatrix:
     """Embed a 3x3 rotation as a spatial Lorentz transformation."""
     r = np.asarray(r, dtype=float)
-    if not _is_rotation(r, 1e-9):
+    if r.shape != (3, 3) or not _are_rotations(r[None], 1e-9)[0]:
         raise RangeError("expected a 3x3 rotation matrix with det +1")
     m = np.eye(4)
     m[1:, 1:] = r

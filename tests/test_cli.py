@@ -391,6 +391,9 @@ def _argv(draw):
 @example(["render", "--input", "{catalog}", "--out", "{out}", "--format", "ppm", "--json"],
          "name,ra_deg,dec_deg,vmag,temp_k\na,1,90,3,4000\n")
 @example(["aberrate", "--chi", "1", "--theta-deg", "90", "--out", "{dir}"], "")
+# a dropped star's diagnostic must not precede the error of a failed write
+@example(["render", "--input", "{catalog}", "--out", "{out}", "--json", "--out", "{dir}"],
+         "0,0.0,-1.0,0.0,1000.0")
 def test_argv_never_escapes_cli_main(argv, text):
     with tempfile.TemporaryDirectory() as tmp:
         paths = {"catalog": Path(tmp, "stars.csv"), "out": Path(tmp, "image"),

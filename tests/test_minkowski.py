@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lorentzsky import (ComponentLabel, FourVector, METRIC, PoincareTransform,
+from lorentzsky import (ComponentLabel, FourVector, LorentzMatrix, METRIC, PoincareTransform,
                         add_velocities, boost_axis, boost_x,
                         classify_component, gamma,
                         integrate_proper_acceleration, interval_squared,
@@ -290,3 +290,61 @@ def test_classification_past_the_4x4_determinant_limit(chi):
     assert classify_component(time_reversal() @ lam) is ComponentLabel.IMPROPER_ANTICHRONOUS
     assert (classify_component(parity() @ time_reversal() @ lam)
             is ComponentLabel.PROPER_ANTICHRONOUS)
+
+
+@pytest.mark.filterwarnings("error")  # no numpy overflow warning either
+@pytest.mark.parametrize("chi", [170.0, 178.0, 200.0, 300.0, 355.0])
+def test_oblique_boost_validates_up_to_the_cosh_squared_limit(chi):
+    # The 4x4 determinant of an oblique boost overflows from chi ~ 178 and
+    # rejected it; |det| read from the spatial block stays finite to 355.3.
+    # (Past chi ~ 34 that value is rounding too, which the cosh^2-scaled
+    # tolerance accepts: see the next test.)
+    lam = boost_axis((0.6, 0.0, 0.8), chi)
+    assert lam.residual <= lam.tol
+    assert validate_lorentz(lam.entries, lam.tol) == lam
+
+
+def test_boost_tolerance_past_one_leaves_the_det_check_vacuous():
+    """A known limit, pinned: the cosh^2-scaled boost tolerance reaches 1 at
+    chi = acosh(1e4.5) ~ 11.05, and from there a residual of 1 passes.
+
+    Zeroing the x3 row and column of a boost leaves (m^T eta m)_33 = 0 against
+    eta_33 = 1, a residual of exactly 1, and a determinant of exactly 0.  The
+    |det| check, | |det| - 1 | <= tol, then accepts det = 0 too, so past
+    chi ~ 11.05 a validated matrix need not be invertible.
+    """
+    limit = math.acosh(math.sqrt(1.0 / DEFAULT_TOL))
+    assert 11.05 < limit < 11.06
+    assert boost_x(limit - 1e-3).tol < 1.0 <= boost_x(limit + 1e-3).tol
+    for chi in (11.0, 11.1, 15.0):
+        m = boost_x(chi).entries.copy()
+        m[3, 3] = 0.0
+        tol = boost_x(chi).tol
+        if chi < limit:
+            with pytest.raises(NotLorentz, match="metric-preservation residual"):
+                LorentzMatrix(m, tol)
+        else:
+            singular = LorentzMatrix(m, tol)
+            assert singular.residual == 1.0
+            assert np.linalg.det(singular.entries) == 0.0
+
+
+def test_determinant_check_rejects_what_the_residual_passes():
+    # diag(1, s, s, s) with s = 1 + e: residual 2e + e^2, det s^3 ~ 1 + 3e, so
+    # a tolerance of 2.5e passes the residual and only |det| rejects it.
+    e = 1e-10
+    m = np.diag([1.0, 1.0 + e, 1.0 + e, 1.0 + e])
+    with pytest.raises(NotLorentz, match="determinant"):
+        LorentzMatrix(m, 2.5 * e)
+    assert LorentzMatrix(m, 3.5 * e).residual <= 2.5 * e
+    # the same with m00 = -1, which the block reading divides by
+    with pytest.raises(NotLorentz, match="determinant"):
+        LorentzMatrix(-m, 2.5 * e)
+
+
+def test_zero_time_entry_is_rejected_at_any_tolerance():
+    # diag(0, 1, 1, 1) has residual 1 and det 0, so a tolerance of 2 passes
+    # both; |m00| < 1 - tol cannot fire once tol >= 1, and the block reading
+    # of det divides by m00, so a zero m00 is refused by name.
+    with pytest.raises(NotLorentz, match="0-0 entry"):
+        LorentzMatrix(np.diag([0.0, 1.0, 1.0, 1.0]), 2.0)
