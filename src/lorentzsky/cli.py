@@ -16,10 +16,11 @@ import math
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
+from . import _text
 from .celestial import aberrate, doppler
 from .decompose import standard_decompose
 from .errors import LorentzSkyError
@@ -27,34 +28,13 @@ from .minkowski import validate_lorentz
 from .render import RenderSpec, render
 from .sphere import MoebiusTransform, SpherePoint
 from .spin import SL2CElement, lift_lorentz_to_sl2c
-from .starfield import load_catalog, transform_catalog
+from .starfield import BoostedCatalog, load_catalog, transform_catalog
 
 _C_M_PER_S = 299_792_458  # for documentation: velocities here are fractions of this
 
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
-
-
-def _json_numbers(col: np.ndarray) -> list[str]:
-    """Each value rounded to 12 significant digits, written as json.dumps writes it.
-
-    The nearest double to a decimal of at most 12 significant digits has
-    that decimal as its shortest repr (10**15 < 2**53), and "{:.12}" keeps
-    the ".0" of fixed notation, so one format call gives json.dumps's text.
-    Two ranges differ and take the slow path: "{:.12}" turns to exponent
-    notation from 1e11 where repr waits until 1e16, and a subnormal's
-    shortest repr can have fewer digits (5e-324).  The mask takes |v| >= 1e10,
-    which catches values that round up to 1e11, and 0 < |v| < 1e-290, a
-    margin over the subnormals below 2.2e-308.
-    """
-    values = col.tolist()
-    text = list(map("{:.12}".format, values))
-    magnitude = np.abs(col)
-    slow = ~(magnitude < 1e10) | ((magnitude > 0.0) & (magnitude < 1e-290))
-    for i in np.flatnonzero(slow).tolist():
-        text[i] = json.dumps(float(_fmt(values[i])))
-    return text
 
 
 def _round12(obj: Any) -> Any:
@@ -173,6 +153,23 @@ def _cmd_aberrate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _json_star_chunks(sky: BoostedCatalog) -> Iterator[bytes]:
+    """The "stars" list of the render summary, a chunk of rows at a time.
+
+    The bytes of json.dumps of one {"name", "doppler", "temp_k", "vmag"} dict
+    per star, joined by ", ", without building the dicts: names escaped by
+    json's own encoder, numbers by the kernel of :mod:`lorentzsky._text`.
+    """
+    names = list(map(encode_basestring_ascii, sky.names))
+    width = np.fromiter(map(len, names), dtype=np.int64, count=len(names))
+    for rows in _text.chunks(len(names), width):
+        text = _text.join_rows([b', {"name": ', _text.ascii_strings(names[rows]),
+                                b', "doppler": ', _text.json_numbers(sky.doppler[rows]),
+                                b', "temp_k": ', _text.json_numbers(sky.temp_k[rows]),
+                                b', "vmag": ', _text.json_numbers(sky.vmag[rows]), b"}"])
+        yield text[2:] if rows.start == 0 else text   # no ", " before the first star
+
+
 def _cmd_render(args: argparse.Namespace) -> int:
     # The spec first: a bad size is refused before the catalog is read.
     spec = RenderSpec(projection=args.projection, width=args.width,
@@ -185,13 +182,11 @@ def _cmd_render(args: argparse.Namespace) -> int:
     Path(args.out).write_bytes(render(sky, spec, diagnostics))
     sys.stderr.write(diagnostics.getvalue())
     if args.json:
-        # The bytes of json.dumps({"out": ..., "count": ..., "stars": [...]}),
-        # written without building the dicts.
-        rows = map('{{"name": {}, "doppler": {}, "temp_k": {}, "vmag": {}}}'.format,
-                   map(encode_basestring_ascii, sky.names),
-                   *map(_json_numbers, (sky.doppler, sky.temp_k, sky.vmag)))
         sys.stdout.write(f'{{"out": {encode_basestring_ascii(args.out)}, '
-                         f'"count": {len(sky)}, "stars": [{", ".join(rows)}]}}\n')
+                         f'"count": {len(sky)}, "stars": [')
+        for chunk in _json_star_chunks(sky):
+            sys.stdout.write(chunk.decode("ascii"))
+        sys.stdout.write("]}\n")
     return 0
 
 

@@ -97,10 +97,10 @@ class LorentzMatrix:
     """A validated 4x4 matrix M with M^T eta M = eta within ``tol`` (max-norm).
 
     Construction raises :class:`NotLorentz` when the metric-preservation
-    residual exceeds ``tol``; |det| and |M00| are also checked, which pins
-    down the component structure (|det| as read by :func:`_det`; once
-    ``tol`` reaches 1, as a boost's does from chi ~ 11.05, that check no
-    longer bounds det away from 0).  Instances are immutable.
+    residual exceeds ``tol``, when M00 is 0, or when |det|, as read by
+    :func:`_det`, is not 1 within ``tol`` (once ``tol`` reaches 1, as a
+    boost's does from chi ~ 11.05, that check no longer bounds det away
+    from 0).  Instances are immutable.
     """
 
     entries: np.ndarray
@@ -127,8 +127,9 @@ class LorentzMatrix:
         residual = float(np.abs((m.T * _ETA) @ m - METRIC).max())
         if not residual <= self.tol:
             raise NotLorentz(residual)
-        # residual <= tol < 1 gives |m00| >= sqrt(1 - tol); _det divides by m00
-        if abs(flat[0]) < 1.0 - self.tol or flat[0] == 0.0:
+        # residual <= tol < 1 already gives |m00| >= sqrt(1 - tol); from tol = 1
+        # on only this guard keeps _det from dividing by 0.
+        if flat[0] == 0.0:
             raise NotLorentz(residual, "0-0 entry has magnitude below 1")
         if abs(abs(_det(flat)) - 1.0) > self.tol:
             raise NotLorentz(residual, "determinant is not +-1 within tolerance")

@@ -18,6 +18,7 @@ from typing import IO
 
 import numpy as np
 
+from . import _text
 from .errors import RangeError
 from .sphere import _INFINITY_EPS
 from .starfield import BoostedCatalog
@@ -174,7 +175,9 @@ def render(sky: BoostedCatalog, spec: RenderSpec,
 
     Stars that cannot be represented (at an excluded pole, or outside the
     visible hemisphere) are dropped; their count goes to ``diagnostics``
-    (stderr by default) when non-zero.
+    (stderr by default) when non-zero.  SVG coordinates are written by the
+    numpy kernel of :mod:`lorentzsky._text`, byte for byte Python's '%.3f'
+    text, which it falls back to per value (see :func:`_render_svg`).
     """
     placed, dropped = _placements(sky, spec)
     if dropped:
@@ -187,6 +190,15 @@ def render(sky: BoostedCatalog, spec: RenderSpec,
 
 
 def _render_svg(placed, spec: RenderSpec) -> bytes:
+    """The SVG text: a background, a ring per panel and a circle per disc.
+
+    Each circle is the bytes of
+    ``'<circle cx="%.3f" cy="%.3f" r="%.3f" fill="#%06x"/>'``, written a chunk
+    of rows at a time: :func:`~lorentzsky._text.fixed3` fields for the three
+    numbers, hex digit pairs for the color, joined with the constant pieces.
+    A coordinate within 2^-12 of a rounding tie once scaled by 1000, or not
+    below 1e8, takes Python's '%.3f' text instead.
+    """
     bg = "#{:02x}{:02x}{:02x}".format(*_BACKGROUND)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -197,12 +209,14 @@ def _render_svg(placed, spec: RenderSpec) -> bytes:
     for _, cx, cy, radius in _panels(spec):
         lines.append(f'<circle cx="{cx:.3f}" cy="{cy:.3f}" r="{radius:.3f}" '
                      'fill="none" stroke="#303030" stroke-width="1"/>')
+    head = ("\n".join(lines) + "\n").encode("ascii")
     x, y, rad, rgb = placed
-    colors = rgb.astype(np.int64) @ np.array([1 << 16, 1 << 8, 1])
-    lines.extend(map('<circle cx="%.3f" cy="%.3f" r="%.3f" fill="#%06x"/>'.__mod__,
-                     zip(x.tolist(), y.tolist(), rad.tolist(), colors.tolist())))
-    lines.append("</svg>")
-    return ("\n".join(lines) + "\n").encode("ascii")
+    circles = (_text.join_rows([b'<circle cx="', _text.fixed3(x[rows]),
+                                b'" cy="', _text.fixed3(y[rows]),
+                                b'" r="', _text.fixed3(rad[rows]),
+                                b'" fill="#', _text.hex_colors(rgb[rows]), b'"/>\n'])
+               for rows in _text.chunks(len(x)))
+    return b"".join([head, *circles, b"</svg>\n"])
 
 
 def _render_ppm(placed, spec: RenderSpec) -> bytes:

@@ -65,8 +65,9 @@ class SpherePoint:
         z = complex(z)
         if cmath.isinf(z):
             return cls.infinity()
-        # Scale before normalizing so huge |z| cannot overflow |z|^2.
-        if abs(z) > 1.0:
+        # Scale before normalizing so huge |z| cannot overflow |z|^2.  A part
+        # above 1 decides before abs(z), which overflows near the double limit.
+        if abs(z.real) > 1.0 or abs(z.imag) > 1.0 or abs(z) > 1.0:
             return cls(1.0, 1.0 / z)
         return cls(z, 1.0)
 

@@ -208,11 +208,16 @@ def _normalized(z1r, z1i, z2r, z2i):
     """The pairs (z1 : z2) scaled to unit length, as :class:`SpherePoint` does.
 
     Pairs already within _NORM_SKIP of unit length are left untouched.  The
-    norm is ``math.hypot`` of the two moduli, mapped over the rows: numpy
-    has no function that rounds like it.
+    norm is ``math.hypot`` of the two moduli, which no numpy function rounds
+    like.  np.hypot is within about an ulp of it, so np.hypot decides every
+    row it puts within _NORM_SKIP / 2 of 1, and only the others call
+    math.hypot.
     """
-    norm = np.fromiter(map(math.hypot, np.hypot(z1r, z1i).tolist(),
-                           np.hypot(z2r, z2i).tolist()), dtype=float, count=len(z1r))
+    r1, r2 = np.hypot(z1r, z1i), np.hypot(z2r, z2i)
+    norm = np.hypot(r1, r2)
+    far = np.flatnonzero(~(np.abs(norm - 1.0) <= 0.5 * _NORM_SKIP))
+    norm[far] = np.fromiter(map(math.hypot, r1[far].tolist(), r2[far].tolist()),
+                            dtype=float, count=len(far))
     norm[np.abs(norm - 1.0) <= _NORM_SKIP] = 1.0
     return z1r / norm, z1i / norm, z2r / norm, z2i / norm
 

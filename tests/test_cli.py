@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from lorentzsky import boost_axis
-from lorentzsky.cli import _json_numbers, cli_main
+from lorentzsky.cli import cli_main
 
 LN2 = 0.6931471805599453
 
@@ -184,19 +184,6 @@ def test_render_overlong_field_exits_1(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "x.svg").exists()
 
 
-EDGE_NUMBERS = [5e-324, 2.225073858507201e-308, 99999999999.95, 99999999999.96, 1e11,
-                9.9999999999995e15, 1e16, 0.0, -0.0]
-
-
-@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8))
-@example(EDGE_NUMBERS)
-@example([-v for v in EDGE_NUMBERS])
-@example([v * (1 + 1e-12) for v in EDGE_NUMBERS])
-def test_json_numbers_match_json_dumps(values):
-    assert _json_numbers(np.array(values, dtype=float)) == [
-        json.dumps(float(f"{v:.12g}")) for v in values]
-
-
 def test_render_missing_input_exits_1(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, monkeypatch, [
         "render", "--input", str(tmp_path / "none.csv"),
@@ -280,6 +267,14 @@ HUGE_MATRIX = f'{{"m": [[{HUGE_INT}, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0
 HUGE_MOBIUS = [f'{{"a": {HUGE_INT}, "b": 0, "c": 0, "d": 1, "points": []}}',
                f'{{"a": 1, "b": 0, "c": 0, "d": 1, "points": [[{HUGE_INT}, 0]]}}']
 DEEP_JSON = "[" * 100_000
+# A finite point whose modulus abs() cannot return (it raised OverflowError).
+NEAR_MAX_POINT = ('{"a": 1.0, "b": 0.0, "c": 0.0, "d": 1.0, '
+                  '"points": [[1.2711610061536462e+308, 1.2711610061536464e+308]]}')
+
+
+def test_point_near_the_double_limit_is_infinity(capsys, monkeypatch):
+    code, out, err = run(capsys, monkeypatch, ["mobius"], NEAR_MAX_POINT)
+    assert (code, out, err) == (0, '{"points": ["inf"]}\n', "")
 
 
 @pytest.mark.parametrize("command, text", [("classify", HUGE_MATRIX), ("decompose", HUGE_MATRIX),
@@ -334,6 +329,7 @@ _STDIN = (st.text(max_size=30)
 @example("lift", HUGE_MATRIX)
 @example("mobius", HUGE_MOBIUS[0])
 @example("mobius", HUGE_MOBIUS[1])
+@example("mobius", NEAR_MAX_POINT)
 @example("classify", DEEP_JSON)
 @example("decompose", DEEP_JSON)
 @example("lift", DEEP_JSON)
@@ -401,8 +397,13 @@ def test_argv_never_escapes_cli_main(argv, text):
         paths["catalog"].write_text(text, encoding="utf-8", newline="")
         argv = [token.format(**paths) for token in argv]
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli_main(argv)
+        cwd = os.getcwd()
+        os.chdir(tmp)   # where a relative path such as "--out stray" is written
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli_main(argv)
+        finally:
+            os.chdir(cwd)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     if code == 1:

@@ -344,7 +344,8 @@ def test_determinant_check_rejects_what_the_residual_passes():
 
 def test_zero_time_entry_is_rejected_at_any_tolerance():
     # diag(0, 1, 1, 1) has residual 1 and det 0, so a tolerance of 2 passes
-    # both; |m00| < 1 - tol cannot fire once tol >= 1, and the block reading
-    # of det divides by m00, so a zero m00 is refused by name.
+    # both; the block reading of det divides by m00, so a zero m00 is
+    # refused by name.
     with pytest.raises(NotLorentz, match="0-0 entry"):
         LorentzMatrix(np.diag([0.0, 1.0, 1.0, 1.0]), 2.0)
+

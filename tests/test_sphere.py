@@ -88,6 +88,9 @@ def test_from_complex_handles_large_values():
     huge = SpherePoint.from_complex(complex(1e300, 0.0))
     assert huge.is_infinity
     assert huge.approx_equal(SpherePoint.infinity())
+    # abs() of this finite value overflows; the point is still infinity
+    near_max = SpherePoint.from_complex(complex(1.2711610061536462e308, 1.2711610061536464e308))
+    assert near_max.is_infinity
 
 
 def test_moebius_examples():

@@ -9,6 +9,8 @@ from lorentzsky import (Catalog, MoebiusTransform, PolarAngles, SpherePoint,
                         catalog_to_csv, doppler, from_polar, load_catalog,
                         to_polar, transform_catalog)
 from lorentzsky.errors import ParseError, RangeError
+from lorentzsky.sphere import _NORM_SKIP
+from lorentzsky.starfield import _normalized
 
 LN2 = 0.6931471805599453
 
@@ -211,6 +213,47 @@ def test_transform_equals_the_scalar_chain(rng, chi):
         assert sky.doppler[i] == d
         assert sky.temp_k[i] == d * float(stars.temp_k[i])
         assert sky.vmag[i] == float(stars.vmag[i]) - 10.0 * math.log10(d)
+
+
+def _normalized_by_math_hypot(z1r, z1i, z2r, z2i):
+    """The norm by math.hypot on every row, as the scalar SpherePoint takes it."""
+    norm = np.array(list(map(math.hypot, np.hypot(z1r, z1i).tolist(),
+                             np.hypot(z2r, z2i).tolist())))
+    norm[np.abs(norm - 1.0) <= _NORM_SKIP] = 1.0
+    return z1r / norm, z1i / norm, z2r / norm, z2i / norm
+
+
+def test_normalized_equals_math_hypot_on_every_row(rng):
+    n = 20000
+    z = rng.normal(size=(4, n)) * rng.choice([1e-300, 1e-3, 1.0, 1e3, 1e300], size=n)
+    unit = z / np.hypot(np.hypot(z[0], z[1]), np.hypot(z[2], z[3]))
+    # pairs around unit length: within an ulp, and at and across 1 +- _NORM_SKIP (/ 2)
+    scale = 1.0 + rng.choice([0.0, 2.2e-16, -4.4e-16, 0.5 * _NORM_SKIP, -_NORM_SKIP,
+                              0.99 * _NORM_SKIP, 1.01 * _NORM_SKIP, 1e-12, 3.0], size=n)
+    near = unit * scale
+    special = np.array([[0.0, 0.0, 1.0, 0.0], [np.nan, 0.0, 1.0, 0.0],
+                        [np.inf, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0]]).T
+    for cols in (z, unit, near, special):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            got, want = _normalized(*cols), _normalized_by_math_hypot(*cols)
+        for a, b in zip(got, want):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("chi", [0.0, LN2, 2.0, -7.5])
+def test_both_normalizations_of_the_transform_equal_math_hypot(rng, chi):
+    n = 20000
+    ra, dec = rng.uniform(0.0, 360.0, n), np.degrees(np.arcsin(rng.uniform(-1.0, 1.0, n)))
+    half, phi = 0.5 * np.radians(90.0 - dec), np.radians(ra)
+    s, c = np.sin(half), np.cos(half)
+    first = (s * np.cos(phi), s * np.sin(phi), c, np.zeros_like(c))
+    once = _normalized(*first)
+    assert all(np.array_equal(a, b) for a, b in zip(once, _normalized_by_math_hypot(*first)))
+    shrink = math.exp(-0.5 * chi)
+    dilated = (shrink * once[0], shrink * once[1],
+               (1.0 / shrink) * once[2], (1.0 / shrink) * once[3])
+    assert all(np.array_equal(a, b)
+               for a, b in zip(_normalized(*dilated), _normalized_by_math_hypot(*dilated)))
 
 
 @pytest.mark.parametrize("chi", [math.nan, math.inf, -math.inf, 1000.0, -710.0])
