@@ -1,8 +1,8 @@
 """Deterministic SVG and PPM rendering of a (transformed) star field.
 
 Byte-identical output for identical inputs: all coordinates are emitted
-with fixed formatting and the raster path uses integer arithmetic only
-after a single rounding step.  Every stage works on whole columns; the
+with fixed formatting and the raster decides each pixel by one fixed
+double-precision test.  Every stage works on whole columns; the
 arithmetic is that of the per-star formulas, so the bytes are the same as
 drawing one star at a time.  Stars are discs; radius follows a linear
 ramp in magnitude (6.0 mag -> 1 px, 0.0 mag -> 6 px, clamped) and fill
@@ -12,6 +12,7 @@ interpolation.
 
 from __future__ import annotations
 
+import operator
 import sys
 from dataclasses import dataclass
 from typing import IO
@@ -31,11 +32,19 @@ _HEMISPHERES = ("north", "south", "both")
 _BACKGROUND = (0, 0, 0)
 # The raster's per-pixel arrays scale with the image, so its size is capped.
 _MAX_PIXELS = 4096 * 4096
-# Discs rasterised together; a chunk's temporaries hold _CHUNK x 14 x 14 values.
-_CHUNK = 1024
-# Offsets from x0 = floor(x - r - 1): an inside pixel lies in [x - r - 0.5, x + r - 0.5]
+# Discs rasterised together, sorted by top row: at most _CHUNK, with tops spanning
+# fewer than _BAND rows, so a chunk's band of rows is at most _BAND + 13 tall.
+_CHUNK = 2048
+_BAND = 64
+# Rows from y0 = floor(y - r - 1): an inside pixel's row lies in [y - r - 0.5, y + r - 0.5]
 # up to rounding, so its offset is at most 2 r + 1.5 <= 13.5 at the 6 px cap.
-_BOX = np.arange(14, dtype=np.int32)
+_ROWS = np.arange(14)
+# A row span of n = 1..14 pixels (indexed by n - 1) is the union of two 2**k-pixel
+# blocks, k = _LEVEL, one at its left end and one _SHIFT = n - 2**k pixels further.
+_LEVEL = np.array([n.bit_length() - 1 for n in range(1, 15)])
+_SHIFT = np.arange(1, 15) - (1 << _LEVEL)
+# Pixels colored together from the palette.
+_SLAB = 1 << 16
 
 # Blackbody temperature -> sRGB, sampled once and frozen; linearly
 # interpolated and clamped at the ends.
@@ -79,6 +88,10 @@ class RenderSpec:
             raise RangeError(f"format must be one of {_FORMATS}")
         if self.hemisphere not in _HEMISPHERES:
             raise RangeError(f"hemisphere must be one of {_HEMISPHERES}")
+        try:
+            operator.index(self.width), operator.index(self.height)
+        except TypeError:
+            raise RangeError("width and height must be integers") from None
         if self.width < 16 or self.height < 16:
             raise RangeError("width and height must be at least 16 pixels")
         if self.width * self.height > _MAX_PIXELS:
@@ -86,13 +99,21 @@ class RenderSpec:
                              f"limit of {_MAX_PIXELS} (4096 x 4096)")
 
 
+def _finite(values, name: str) -> np.ndarray:
+    """values as a float array; RangeError if one is nan or infinite."""
+    a = np.asarray(values, dtype=float)
+    if not np.isfinite(a).all():
+        raise RangeError(f"{name} must be finite")
+    return a
+
+
 def blackbody_rgb(temp_k) -> np.ndarray:
     """Disc colors, uint8 rows (r, g, b), for blackbodies of the given temperatures.
 
     Linear between the table's samples, rounded half to even as Python's
-    round(), and clamped at the table's ends.
+    round(), and clamped at the table's ends; finite temperatures only.
     """
-    t = np.clip(np.asarray(temp_k, dtype=float), _BLACKBODY_T[0], _BLACKBODY_T[-1])
+    t = np.clip(_finite(temp_k, "temp_k"), _BLACKBODY_T[0], _BLACKBODY_T[-1])
     hi = np.clip(np.searchsorted(_BLACKBODY_T, t), 1, len(_BLACKBODY_T) - 1)
     lo = hi - 1
     frac = (t - _BLACKBODY_T[lo]) / (_BLACKBODY_T[hi] - _BLACKBODY_T[lo])
@@ -101,8 +122,8 @@ def blackbody_rgb(temp_k) -> np.ndarray:
 
 
 def disc_radius_px(vmag):
-    """Linear ramp 6.0 mag -> 1 px, 0.0 mag -> 6 px, clamped to [1, 6]."""
-    return np.clip(1.0 + (6.0 - np.asarray(vmag, dtype=float)) * (5.0 / 6.0), 1.0, 6.0)
+    """Linear ramp 6.0 mag -> 1 px, 0.0 mag -> 6 px, clamped to [1, 6]; finite vmag only."""
+    return np.clip(1.0 + (6.0 - _finite(vmag, "vmag")) * (5.0 / 6.0), 1.0, 6.0)
 
 
 def _divide(ar, ai, br, bi):
@@ -223,27 +244,53 @@ def _render_ppm(placed, spec: RenderSpec) -> bytes:
     """Discs filled where (x + 0.5 - cx)^2 + (y + 0.5 - cy)^2 <= r^2, later discs on top.
 
     Each pixel takes the color of the last disc covering it: the largest
-    draw index, which np.maximum.at keeps however the pixels repeat.
+    draw index.  The test is monotone in |x + 0.5 - cx| along a row, so a
+    disc covers one span per row, whose ends are estimated from
+    cx - 0.5 -+ sqrt(r^2 - dy^2) and settled by the test at the estimate and
+    one pixel outwards.  A span is two 2**k-pixel blocks in the tables of
+    its chunk's band of rows, folded down a level at a time.
     """
     w, h = spec.width, spec.height
     x, y, rad, rgb = placed
-    # int32 indices: h * w <= 4096**2, and 2**31 discs would need > 30 GB of catalog.
-    owner = np.full(h * w, -1, dtype=np.int32)
-    for start in range(0, len(x), _CHUNK):
-        cx, cy, r = (a[start:start + _CHUNK, None, None] for a in (x, y, rad))
-        x0 = np.maximum(0, np.floor(cx - r - 1)).astype(np.int32)
-        x1 = np.minimum(w - 1, np.ceil(cx + r + 1)).astype(np.int32)
-        y0 = np.maximum(0, np.floor(cy - r - 1)).astype(np.int32)
-        y1 = np.minimum(h - 1, np.ceil(cy + r + 1)).astype(np.int32)
-        px, py = x0 + _BOX, y0 + _BOX[:, None]
-        # Squared offsets per column and per row; inf outside the box.
-        dx2 = np.where(px <= x1, (px + 0.5 - cx) ** 2, np.inf)
-        dy2 = np.where(py <= y1, (py + 0.5 - cy) ** 2, np.inf)
-        inside = dx2 + dy2 <= r * r
-        disc = np.repeat(np.arange(start, start + len(cx), dtype=np.int32),
-                         inside.sum(axis=(1, 2)))
-        np.maximum.at(owner, (py * w + px)[inside], disc)
+    # Per pixel, 1 + the draw index of its disc, 0 for the background; int32,
+    # as 2**31 discs would need > 30 GB of catalog.
+    owner = np.zeros(h * w, dtype=np.int32)
+    top = np.maximum(0.0, np.floor(y - rad - 1))
+    order = np.argsort(top, kind="stable").astype(np.int32)
+    tops, start = top[order], 0
+    while start < len(order) and tops[start] < h:  # discs below the image draw nothing
+        b0 = int(tops[start])
+        stop = min(start + _CHUNK, int(np.searchsorted(tops, b0 + _BAND)))
+        disc, py = order[start:stop], tops[start:stop, None] + _ROWS
+        b1, start = min(h, int(tops[stop - 1]) + len(_ROWS)), stop
+        dy2, rr = (py + 0.5 - y[disc, None]) ** 2, rad[disc, None] ** 2
+        rows = (dy2 <= rr) & (py < h)  # the rows a disc can reach
+        per_disc = rows.sum(axis=1)
+        cx, rr, drawn = (np.repeat(a, per_disc) for a in (x[disc], rr[:, 0], disc + 1))
+        py, dy2 = py[rows], dy2[rows]
+        s = np.sqrt(rr - dy2)
+        lo, hi = np.ceil(cx - 0.5 - s), np.floor(cx - 0.5 + s)
+        lo = np.where((lo - 0.5 - cx) ** 2 + dy2 <= rr, lo - 1,
+                      np.where((lo + 0.5 - cx) ** 2 + dy2 <= rr, lo, lo + 1))
+        hi = np.where((hi + 1.5 - cx) ** 2 + dy2 <= rr, hi + 1,
+                      np.where((hi + 0.5 - cx) ** 2 + dy2 <= rr, hi, hi - 1))
+        lo, hi = np.maximum(lo, 0.0), np.minimum(hi, w - 1.0)
+        keep = lo <= hi
+        lo, n1, drawn = lo[keep], (hi[keep] - lo[keep]).astype(np.intp), drawn[keep]
+        size = (b1 - b0) * w
+        first = (_LEVEL[n1] * size + (py[keep] - b0) * w + lo).astype(np.intp)
+        # Per level k, the largest 1 + draw index of a 2**k-pixel block starting at each pixel.
+        tables = np.zeros((4, size), dtype=np.int32)
+        np.maximum.at(tables.reshape(-1), np.concatenate([first, first + _SHIFT[n1]]),
+                      np.concatenate([drawn, drawn]))
+        for k in (3, 2, 1):
+            half = 1 << (k - 1)
+            np.maximum(tables[k - 1], tables[k], out=tables[k - 1])
+            np.maximum(tables[k - 1, half:], tables[k, :-half], out=tables[k - 1, half:])
+        band = owner[b0 * w:b1 * w]
+        np.maximum(band, tables[0], out=band)
     palette = np.concatenate([np.array([_BACKGROUND], dtype=np.uint8), rgb])
-    img = palette[owner + 1]
-    header = f"P6\n{w} {h}\n255\n".encode("ascii")
-    return header + img.tobytes()
+    img = np.empty((h * w, 3), dtype=np.uint8)
+    for i in range(0, h * w, _SLAB):  # np.take copies int32 indices to intp
+        np.take(palette, owner[i:i + _SLAB], axis=0, out=img[i:i + _SLAB])
+    return b"".join([f"P6\n{w} {h}\n255\n".encode("ascii"), img])

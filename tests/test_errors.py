@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from lorentzsky import (FourVector, HermitianSlot, LorentzMatrix, MoebiusTransform,
-                        PolarAngles, SL2CElement, SL2RElement, SpherePoint,
-                        StandardDecomposition, SU2Element, aberrate, doppler,
-                        integrate_proper_acceleration, rotation_embed,
-                        sphere_metric_factor)
+                        PolarAngles, RenderSpec, SL2CElement, SL2RElement, SpherePoint,
+                        StandardDecomposition, SU2Element, aberrate, blackbody_rgb,
+                        disc_radius_px, doppler, integrate_proper_acceleration,
+                        rotation_embed, sphere_metric_factor)
 from lorentzsky.celestial import BondiPoint
 from lorentzsky.errors import LorentzSkyError, RangeError
 
@@ -51,6 +51,11 @@ SITES = {
                                                                      [1.0, math.nan]),
     "proper_acceleration_order": lambda: integrate_proper_acceleration([1.0, 0.0],
                                                                        [1.0, 1.0]),
+    "render_spec_float_width": lambda: RenderSpec(width=800.5, format="ppm"),
+    "render_spec_float_height": lambda: RenderSpec(height=100.0, format="ppm"),
+    "render_spec_text_width": lambda: RenderSpec(width="100"),
+    "blackbody_nan": lambda: blackbody_rgb(math.nan),
+    "disc_radius_nan": lambda: disc_radius_px(math.nan),
 }
 
 

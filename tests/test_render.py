@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from lorentzsky import (Catalog, RenderSpec, blackbody_rgb, disc_radius_px,
                         render, transform_catalog)
 from lorentzsky.errors import RangeError
-from lorentzsky.render import _render_ppm
+from lorentzsky.render import _CHUNK, _placements, _render_ppm
 
 LN2 = 0.6931471805599453
 
@@ -30,6 +31,13 @@ def test_spec_validation():
         RenderSpec(format="png")
     with pytest.raises(RangeError):
         RenderSpec(hemisphere="east")
+
+
+def test_spec_takes_integer_sizes_only():
+    # numpy integers pass; floats and text are in test_errors.SITES
+    assert RenderSpec(width=np.int64(64), height=np.int32(48), format="ppm").width == 64
+    with pytest.raises(RangeError, match="width and height must be integers"):
+        RenderSpec(format="ppm", height=None)
 
 
 def test_spec_caps_the_pixel_count():
@@ -126,6 +134,16 @@ def test_blackbody_lookup_interpolates_and_clamps():
     assert all(min(a, b) <= m <= max(a, b) for a, b, m in zip(low, high, mid))
     # cool stars are redder than hot stars
     assert rgb(3000.0)[2] < rgb(20_000.0)[2]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_color_and_radius_refuse_non_finite_input(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # no numpy RuntimeWarning before the error
+        with pytest.raises(RangeError, match="temp_k must be finite"):
+            blackbody_rgb([5000.0, bad])
+        with pytest.raises(RangeError, match="vmag must be finite"):
+            disc_radius_px(bad)
 
 
 def test_blackbody_equals_the_table_loop():
@@ -227,3 +245,98 @@ def test_ppm_raster_equals_the_pixel_painter(seed):
     rad[whole] = np.round(rad[whole])
     placed = (x, y, rad, rng.integers(0, 256, (n, 3), dtype=np.uint8))
     assert _render_ppm(placed, spec) == _ppm_pixel_painter(placed, spec)
+
+
+def _ppm_rgb(img, spec):
+    return np.frombuffer(img, np.uint8)[-spec.width * spec.height * 3:].reshape(
+        spec.height, spec.width, 3)
+
+
+def test_ppm_raster_settles_rim_ties():
+    # Whole radii about half-pixel centres put pixel centres exactly on the rim:
+    # at (0, +-r) and, for r = 5, at (+-3, +-4) and (+-4, +-3).  Centres and radii
+    # one ulp off move those pixels just in or out, where the sqrt estimate of a
+    # span's end is one pixel off, outwards or inwards.  One disc per 16 px cell.
+    nudge = np.array([-1.0, 0.0, 1.0])
+    ki, kj, kr, rad = (a.ravel() for a in np.meshgrid(nudge, nudge, nudge, np.arange(1.0, 7.0)))
+    n, cells = len(rad), 13
+    spec = RenderSpec(format="ppm", width=16 * cells, height=16 * cells)
+    x = 16.0 * (np.arange(n) % cells) + 8.5
+    y = 16.0 * (np.arange(n) // cells) + 8.5
+    placed = (x + ki * np.spacing(x), y + kj * np.spacing(y), rad + kr * np.spacing(rad),
+              np.full((n, 3), 255, dtype=np.uint8))
+    img = _render_ppm(placed, spec)
+    assert img == _ppm_pixel_painter(placed, spec) == _ppm_disc_loop(placed, spec)
+    exact = (ki == 0) & (kj == 0) & (kr == 0)
+    on = _ppm_rgb(img, spec)[:, :, 0] == 255
+    for cx, cy, r in zip(x[exact].tolist(), y[exact].tolist(), rad[exact].astype(int).tolist()):
+        px, py = int(cx - 0.5), int(cy - 0.5)
+        rim = [(0, r), (r, 0), (0, -r), (-r, 0)] + [(3, 4), (-4, 3), (4, -3), (-3, -4)] * (r == 5)
+        assert all(on[py + dy, px + dx] for dx, dy in rim)
+        assert not on[py, px + r + 1] and not on[py + r + 1, px]
+    # alone in a chunk: a 6 px disc's lowest rim pixel is 13 rows below its top row
+    small = RenderSpec(format="ppm", width=16, height=16)
+    for r in range(1, 7):
+        alone = (np.array([8.5]), np.array([8.5]), np.array([float(r)]),
+                 np.full((1, 3), 255, dtype=np.uint8))
+        assert _render_ppm(alone, small) == _ppm_pixel_painter(alone, small)
+
+
+def test_ppm_raster_over_many_chunks_with_shared_tops(rng):
+    # more than two chunks of discs sorted by top row, a third of them on one top
+    # row, and a tall image whose sparse lower part ends chunks at the band limit
+    n = 2 * _CHUNK + 500
+    spec = RenderSpec(format="ppm", width=40, height=600)
+    x, rad = rng.uniform(-8.0, 48.0, n), rng.uniform(1.0, 6.0, n)
+    y = np.where(rng.random(n) < 0.6, rng.uniform(-8.0, 40.0, n), rng.uniform(-8.0, 608.0, n))
+    shared = rng.random(n) < 0.35
+    y[shared], rad[shared] = 12.25, 6.0   # top row floor(12.25 - 6 - 1) = 5
+    placed = (x, y, rad, rng.integers(0, 256, (n, 3), dtype=np.uint8))
+    img = _render_ppm(placed, spec)
+    assert img == _ppm_disc_loop(placed, spec) == _ppm_pixel_painter(placed, spec)
+
+
+@pytest.mark.parametrize("side", ["above", "below", "left", "right"])
+@pytest.mark.parametrize("drawn", [0, 40])
+def test_ppm_raster_with_a_chunk_off_the_image(side, drawn, rng):
+    # a whole chunk of discs just outside one edge (below the image its band is
+    # empty), besides discs over the image that are drawn
+    spec = RenderSpec(format="ppm", width=36, height=28)
+    n = _CHUNK + 100
+    along = {"above": 36, "below": 36, "left": 28, "right": 28}[side]
+    near = rng.uniform(-8.0, along + 8.0, n)
+    rad = rng.uniform(1.0, 6.0, n)
+    past = rad + 0.5 + rng.uniform(0.0, 4.0, n)   # no pixel centre within r of the disc
+    x, y = {"above": (near, -past), "below": (near, 28.0 + past),
+            "left": (-past, near), "right": (36.0 + past, near)}[side]
+    x = np.concatenate([x, rng.uniform(-4.0, 40.0, drawn)])
+    y = np.concatenate([y, rng.uniform(-4.0, 32.0, drawn)])
+    rad = np.concatenate([rad, rng.uniform(1.0, 6.0, drawn)])
+    placed = (x, y, rad, rng.integers(1, 256, (n + drawn, 3), dtype=np.uint8))
+    img = _render_ppm(placed, spec)
+    assert img == _ppm_pixel_painter(placed, spec) == _ppm_disc_loop(placed, spec)
+    assert _ppm_rgb(img, spec).any() == (drawn > 0)
+
+
+def test_ppm_raster_of_no_discs_and_the_smallest_image(rng):
+    spec = RenderSpec(format="ppm", width=16, height=16)
+    none = (np.zeros(0), np.zeros(0), np.zeros(0), np.zeros((0, 3), dtype=np.uint8))
+    assert _render_ppm(none, spec) == b"P6\n16 16\n255\n" + bytes(16 * 16 * 3)
+    n = 300   # 6 px discs cover most of a 16 x 16 image and spill over every edge
+    placed = (rng.uniform(-7.0, 23.0, n), rng.uniform(-7.0, 23.0, n),
+              rng.choice([1.0, 2.5, 6.0], n), rng.integers(0, 256, (n, 3), dtype=np.uint8))
+    assert _render_ppm(placed, spec) == _ppm_pixel_painter(placed, spec)
+
+
+def test_ppm_both_hemispheres_equals_the_pixel_painter(rng):
+    n = 400
+    stars = transform_catalog(_catalog(*zip(
+        (f"s{i}" for i in range(n)), rng.uniform(0.0, 360.0, n), rng.uniform(-90.0, 90.0, n),
+        rng.uniform(-1.0, 7.0, n), rng.uniform(2500.0, 30000.0, n))), 1.0)
+    for projection in ("stereographic", "orthographic"):
+        spec = RenderSpec(projection=projection, format="ppm", hemisphere="both",
+                          width=96, height=64)
+        img = render(stars, spec, diagnostics=io.StringIO())
+        assert img == _ppm_pixel_painter(_placements(stars, spec)[0], spec)
+        lit = _ppm_rgb(img, spec).any(axis=(0, 2))
+        assert lit[:48].any() and lit[48:].any()
