@@ -36,20 +36,7 @@ _TRAIL = np.tri(17, 16, -1, dtype=np.uint8)
 
 
 def json_number_text(v: float) -> str:
-    """v rounded to 12 significant digits, written as json.dumps writes the result.
-
-    The nearest double to a decimal of at most 12 significant digits has
-    that decimal as its shortest repr (10**15 < 2**53), and "{:.12}" keeps
-    the ".0" of fixed notation, so one format call gives json.dumps's text.
-    Two ranges differ and go through json.dumps: "{:.12}" turns to exponent
-    notation from 1e11 where repr waits until 1e16, and a subnormal's
-    shortest repr can have fewer digits (5e-324).  The test takes |v| >= 1e10,
-    which catches values that round up to 1e11, and 0 < |v| < 1e-290, a
-    margin over the subnormals below 2.2e-308.
-    """
-    magnitude = abs(v)
-    if magnitude < 1e10 and not 0.0 < magnitude < 1e-290:
-        return "{:.12}".format(v)
+    """v rounded to 12 significant digits as json.dumps writes it: json_numbers's rare fallback."""
     return json.dumps(float(f"{v:.12g}"))
 
 

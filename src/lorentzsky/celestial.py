@@ -159,7 +159,7 @@ class Photon4Momentum:
         e = self.p.x0
         if e <= 0:
             raise NotNull(f"photon energy must be positive, got {e}")
-        if abs(interval_squared(self.p)) > _NULL_TOL * e * e:
+        if not abs(interval_squared(self.p)) <= _NULL_TOL * e * e:  # nan from inf - inf too
             raise NotNull(f"four-momentum is not null: p^2 = {interval_squared(self.p):.3e}")
 
     @property

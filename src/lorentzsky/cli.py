@@ -24,7 +24,7 @@ from . import _text
 from .celestial import aberrate, doppler
 from .decompose import standard_decompose
 from .errors import LorentzSkyError
-from .minkowski import validate_lorentz
+from .minkowski import LorentzMatrix, validate_lorentz
 from .render import RenderSpec, render
 from .sphere import MoebiusTransform, SpherePoint
 from .spin import SL2CElement, lift_lorentz_to_sl2c
@@ -68,6 +68,13 @@ def _read_json(in_path: str | None) -> Any:
         raise LorentzSkyError("invalid JSON input: nested too deeply") from None
 
 
+def _number(value: Any) -> float:
+    """float(value), refusing a JSON true or false (TypeError), whose float() is 1.0 or 0.0."""
+    if isinstance(value, bool):
+        raise TypeError("a boolean is not a number")
+    return float(value)
+
+
 def _matrix_from_json(payload: Any) -> list[list[float]]:
     if not isinstance(payload, dict) or "m" not in payload:
         raise LorentzSkyError('expected a JSON object with key "m"')
@@ -76,7 +83,7 @@ def _matrix_from_json(payload: Any) -> list[list[float]]:
             or any(not isinstance(r, list) or len(r) != 4 for r in m)):
         raise LorentzSkyError('"m" must be a 4x4 array of numbers')
     try:
-        return [[float(v) for v in row] for row in m]
+        return [[_number(v) for v in row] for row in m]
     except (TypeError, ValueError, OverflowError):
         raise LorentzSkyError('"m" must be a 4x4 array of numbers') from None
 
@@ -86,20 +93,27 @@ def _complex_from_json(value: Any, key: str) -> complex:
         value = [value, 0.0]
     if isinstance(value, list) and len(value) == 2:
         try:
-            return complex(float(value[0]), float(value[1]))
+            return complex(_number(value[0]), _number(value[1]))
         except (TypeError, ValueError, OverflowError):
             pass
     raise LorentzSkyError(f'"{key}" must be a number or an [re, im] pair')
 
 
+def _lorentz_from_input(in_path: str | None) -> LorentzMatrix:
+    m = _matrix_from_json(_read_json(in_path))
+    # A residual that overflows reads inf or nan, which validation refuses: no numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return validate_lorentz(m)
+
+
 def _cmd_classify(args: argparse.Namespace) -> int:
-    lam = validate_lorentz(_matrix_from_json(_read_json(args.input)))
+    lam = _lorentz_from_input(args.input)
     _emit(lam.component().value + "\n", args.out)
     return 0
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    lam = validate_lorentz(_matrix_from_json(_read_json(args.input)))
+    lam = _lorentz_from_input(args.input)
     dec = standard_decompose(lam)
     _emit_json({"r1": dec.r1.tolist(), "chi": dec.chi, "r2": dec.r2.tolist()},
                args.out)
@@ -107,7 +121,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _cmd_lift(args: argparse.Namespace) -> int:
-    lam = validate_lorentz(_matrix_from_json(_read_json(args.input)))
+    lam = _lorentz_from_input(args.input)
     s = lift_lorentz_to_sl2c(lam)
     _emit_json({k: [v.real, v.imag] for k, v in
                 (("a", s.a), ("b", s.b), ("c", s.c), ("d", s.d))}, args.out)

@@ -100,7 +100,8 @@ class LorentzMatrix:
     residual exceeds ``tol``, when M00 is 0, or when |det|, as read by
     :func:`_det`, is not 1 within ``tol`` (once ``tol`` reaches 1, as a
     boost's does from chi ~ 11.05, that check no longer bounds det away
-    from 0).  Instances are immutable.
+    from 0), and :class:`RangeError` when ``tol`` is not positive and finite.
+    Instances are immutable.
     """
 
     entries: np.ndarray
@@ -113,8 +114,6 @@ class LorentzMatrix:
         return np.array_equal(self.entries, other.entries)
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise RangeError("tolerance must be positive")
         m = np.array(self.entries, dtype=float)
         if m.shape != (4, 4):
             raise RangeError(f"expected a 4x4 matrix, got shape {m.shape}")
@@ -122,6 +121,8 @@ class LorentzMatrix:
         # A nan or inf entry makes the sum non-finite; so can an overflow.
         if not math.isfinite(sum(flat)) and not np.isfinite(m).all():
             raise NotLorentz(math.inf, "matrix has non-finite entries")
+        if not 0.0 < self.tol < math.inf:  # an inf tolerance would accept an inf residual
+            raise RangeError(f"tolerance must be positive and finite, got {self.tol!r}")
         # m^T eta is m^T with column 0 negated: the bits of m^T @ METRIC @ m.
         # "not <=" rejects a nan residual too (inf - inf from overflowing products).
         residual = float(np.abs((m.T * _ETA) @ m - METRIC).max())
@@ -226,14 +227,14 @@ def poincare_compose(g: PoincareTransform, gp: PoincareTransform) -> PoincareTra
 
 def gamma(v: float) -> float:
     """Time-dilation factor 1/sqrt(1 - v^2) for |v| < 1 (units of c)."""
-    if abs(v) >= 1.0:
+    if not abs(v) < 1.0:
         raise SpeedLimit(f"|v| = {abs(v)} must be below 1 (units of c)")
     return 1.0 / math.sqrt(1.0 - v * v)
 
 
 def rapidity_from_velocity(v: float) -> Rapidity:
     """chi = argtanh(v), the additive boost parameter."""
-    if abs(v) >= 1.0:
+    if not abs(v) < 1.0:
         raise SpeedLimit(f"|v| = {abs(v)} must be below 1 (units of c)")
     return math.atanh(v)
 
@@ -245,7 +246,7 @@ def velocity_from_rapidity(chi: Rapidity) -> float:
 
 def add_velocities(v: float, w: float) -> float:
     """Relativistic composition (v + w)/(1 + v w) of collinear velocities."""
-    if abs(v) >= 1.0 or abs(w) >= 1.0:
+    if not (abs(v) < 1.0 and abs(w) < 1.0):
         raise SpeedLimit("velocities must be below 1 (units of c)")
     return (v + w) / (1.0 + v * w)
 
@@ -274,15 +275,17 @@ def boost_x(chi: Rapidity) -> LorentzMatrix:
 
 
 def _unit_axis(n: Iterable[float]) -> np.ndarray:
-    n = np.asarray(n, dtype=float).reshape(3)
-    if abs(float(n @ n) - 1.0) > 2e-12:
-        raise BadAxis(f"axis must be a unit 3-vector, |n|^2 = {float(n @ n)!r}")
+    n = np.asarray(n, dtype=float).ravel()
+    if n.shape != (3,) or not abs(float(n @ n) - 1.0) <= 2e-12:
+        raise BadAxis(f"axis must be a unit 3-vector, got {n.tolist()!r}")
     return n
 
 
 def rotation_about_axis(n: Iterable[float], chi_or_angle: float) -> np.ndarray:
     """Rodrigues rotation matrix about unit axis ``n`` by the given angle."""
     n = _unit_axis(n)
+    if not math.isfinite(chi_or_angle):
+        raise RangeError(f"rotation angle must be finite, got {chi_or_angle!r}")
     c, s = math.cos(chi_or_angle), math.sin(chi_or_angle)
     k = np.array([[0.0, -n[2], n[1]], [n[2], 0.0, -n[0]], [-n[1], n[0], 0.0]])
     return np.eye(3) + s * k + (1.0 - c) * (k @ k)

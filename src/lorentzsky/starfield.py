@@ -207,17 +207,11 @@ def _columns(blocks: list[np.ndarray]) -> np.ndarray:
 def _normalized(z1r, z1i, z2r, z2i):
     """The pairs (z1 : z2) scaled to unit length, as :class:`SpherePoint` does.
 
-    Pairs already within _NORM_SKIP of unit length are left untouched.  The
-    norm is ``math.hypot`` of the two moduli, which no numpy function rounds
-    like.  np.hypot is within about an ulp of it, so np.hypot decides every
-    row it puts within _NORM_SKIP / 2 of 1, and only the others call
-    math.hypot.
+    The norm is ``math.hypot`` of the two moduli, which no numpy function
+    rounds like; pairs within _NORM_SKIP of unit length are left untouched.
     """
-    r1, r2 = np.hypot(z1r, z1i), np.hypot(z2r, z2i)
-    norm = np.hypot(r1, r2)
-    far = np.flatnonzero(~(np.abs(norm - 1.0) <= 0.5 * _NORM_SKIP))
-    norm[far] = np.fromiter(map(math.hypot, r1[far].tolist(), r2[far].tolist()),
-                            dtype=float, count=len(far))
+    norm = np.fromiter(map(math.hypot, np.hypot(z1r, z1i).tolist(), np.hypot(z2r, z2i).tolist()),
+                       dtype=float, count=len(z1r))
     norm[np.abs(norm - 1.0) <= _NORM_SKIP] = 1.0
     return z1r / norm, z1i / norm, z2r / norm, z2i / norm
 
@@ -237,10 +231,11 @@ def transform_catalog(catalog: Catalog, chi: Rapidity) -> BoostedCatalog:
     half = 0.5 * np.radians(90.0 - catalog.dec_deg)
     phi = np.radians(catalog.ra_deg)
     s, c = np.sin(half), np.cos(half)
-    z1r, z1i, z2r, z2i = _normalized(s * np.cos(phi), s * np.sin(phi), c, np.zeros_like(c))
+    # The sine and cosine of one half-angle make a pair within about an ulp of unit
+    # length, far inside _NORM_SKIP, so from_polar's normalization leaves it as is.
     shrink = math.exp(-0.5 * chi)   # the dilation's spinor diag(shrink, 1 / shrink)
-    z1r, z1i, z2r, z2i = _normalized(shrink * z1r, shrink * z1i,
-                                     (1.0 / shrink) * z2r, (1.0 / shrink) * z2i)
+    z1r, z1i, z2r, z2i = _normalized(shrink * (s * np.cos(phi)), shrink * (s * np.sin(phi)),
+                                     (1.0 / shrink) * c, np.zeros_like(c))
     with np.errstate(over="ignore"):  # overflow is checked below
         if chi == 0.0:
             doppler = np.ones_like(c)

@@ -235,6 +235,8 @@ def test_boost_photon_validation():
         Photon4Momentum(FourVector(1.0, 0.5, 0.0, 0.0))
     with pytest.raises(NotNull):
         Photon4Momentum(FourVector(-1.0, 1.0, 0.0, 0.0))
+    with pytest.raises(NotNull):  # p^2 = inf - inf = nan
+        Photon4Momentum(FourVector(1e200, 1e200, 0.0, 0.0))
     p = Photon4Momentum(FourVector(1.0, 1.0, 0.0, 0.0))
     with pytest.raises(NotOrthochronous):
         boost_photon(time_reversal(), p)

@@ -287,6 +287,32 @@ def test_integer_too_large_for_a_float_exits_1(capsys, monkeypatch, command, tex
     assert "must be" in err
 
 
+@pytest.mark.parametrize("command, text", [
+    ("classify", '{"m": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, true]]}'),
+    ("mobius", '{"a": true, "b": 0, "c": 0, "d": 1, "points": []}'),
+    ("mobius", '{"a": 1, "b": 0, "c": 0, "d": [1, false], "points": []}'),
+    ("mobius", '{"a": 1, "b": 0, "c": 0, "d": 1, "points": [[true, 0]]}')])
+def test_json_booleans_are_not_numbers(capsys, monkeypatch, command, text):
+    code, out, err = run(capsys, monkeypatch, [command], text)
+    assert code == 1
+    assert out == ""
+    assert "must be a" in err
+
+
+# Entries of 1e308 overflow the metric residual to inf.
+OVERFLOWING_MATRIX = '{"m": [[1e308, 0, 0, 0], [0, 1e308, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}'
+
+
+@pytest.mark.parametrize("command", ["classify", "decompose", "lift"])
+def test_overflowing_matrix_prints_only_the_error_line(command):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-m", "lorentzsky.cli", command],
+                          input=OVERFLOWING_MATRIX, capture_output=True, text=True, env=env)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == "error: metric-preservation residual inf exceeds tolerance\n"
+
+
 @pytest.mark.parametrize("command", ["classify", "decompose", "lift", "mobius"])
 def test_deeply_nested_json_exits_1(capsys, monkeypatch, command):
     code, out, err = run(capsys, monkeypatch, [command], DEEP_JSON)

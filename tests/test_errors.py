@@ -9,8 +9,9 @@ import pytest
 from lorentzsky import (FourVector, HermitianSlot, LorentzMatrix, MoebiusTransform,
                         PolarAngles, RenderSpec, SL2CElement, SL2RElement, SpherePoint,
                         StandardDecomposition, SU2Element, aberrate, blackbody_rgb,
-                        disc_radius_px, doppler, integrate_proper_acceleration,
-                        rotation_embed, sphere_metric_factor)
+                        boost_x, disc_radius_px, doppler, integrate_proper_acceleration,
+                        rotation_about_axis, rotation_embed, sl2c_to_lorentz,
+                        sphere_metric_factor, validate_lorentz)
 from lorentzsky.celestial import BondiPoint
 from lorentzsky.errors import LorentzSkyError, RangeError
 
@@ -46,6 +47,11 @@ SITES = {
     "hermitian_shape": lambda: HermitianSlot(np.eye(3)),
     "lorentz_tolerance": lambda: LorentzMatrix(np.eye(4), 0.0),
     "lorentz_shape": lambda: LorentzMatrix(np.eye(3)),
+    "lorentz_tolerance_nan": lambda: validate_lorentz(np.eye(4), tol=math.nan),
+    # the squared entry scale that sets these tolerances overflows to inf
+    "lorentz_tolerance_inf_cover": lambda: sl2c_to_lorentz(SL2CElement(1e78, 0, 0, 1e-78)),
+    "lorentz_tolerance_inf_product": lambda: boost_x(300.0) @ boost_x(300.0),
+    "rotation_angle_inf": lambda: rotation_about_axis((0.0, 0.0, 1.0), math.inf),
     "proper_acceleration_shape": lambda: integrate_proper_acceleration([0.0], [1.0]),
     "proper_acceleration_nan": lambda: integrate_proper_acceleration([0.0, 1.0],
                                                                      [1.0, math.nan]),

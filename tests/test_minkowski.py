@@ -138,13 +138,15 @@ def test_gamma_and_rapidity_values():
 
 
 def test_speed_limit_errors():
-    for bad in (1.0, -1.0, 1.5):
+    for bad in (1.0, -1.0, 1.5, math.nan):
         with pytest.raises(SpeedLimit):
             gamma(bad)
         with pytest.raises(SpeedLimit):
             rapidity_from_velocity(bad)
     with pytest.raises(SpeedLimit):
         add_velocities(1.0, 0.2)
+    with pytest.raises(SpeedLimit):
+        add_velocities(math.nan, 0.5)
 
 
 @given(st.floats(min_value=-0.999, max_value=0.999))
@@ -191,6 +193,10 @@ def test_boost_axis_passes_validation_and_has_cosh_corner(rng):
 def test_boost_axis_rejects_non_unit():
     with pytest.raises(BadAxis):
         boost_axis((0.0, 0.0, 2.0), 1.0)
+    with pytest.raises(BadAxis):
+        boost_axis([1.0, 0.0], 1.0)
+    with pytest.raises(BadAxis):
+        rotation_about_axis((math.nan, 0.0, 0.0), 1.0)
 
 
 def test_large_rapidity_constructs_and_composes():

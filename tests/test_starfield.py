@@ -243,12 +243,16 @@ def test_normalized_equals_math_hypot_on_every_row(rng):
 @pytest.mark.parametrize("chi", [0.0, LN2, 2.0, -7.5])
 def test_both_normalizations_of_the_transform_equal_math_hypot(rng, chi):
     n = 20000
-    ra, dec = rng.uniform(0.0, 360.0, n), np.degrees(np.arcsin(rng.uniform(-1.0, 1.0, n)))
+    ra = np.append(rng.uniform(0.0, 360.0, n), [0.0, 123.4, 0.0, 271.8])
+    dec = np.append(np.degrees(np.arcsin(rng.uniform(-1.0, 1.0, n))), [90.0, 90.0, -90.0, -90.0])
     half, phi = 0.5 * np.radians(90.0 - dec), np.radians(ra)
     s, c = np.sin(half), np.cos(half)
     first = (s * np.cos(phi), s * np.sin(phi), c, np.zeros_like(c))
     once = _normalized(*first)
     assert all(np.array_equal(a, b) for a, b in zip(once, _normalized_by_math_hypot(*first)))
+    # transform_catalog skips this first normalization: it leaves the pair's bits as they are
+    assert all(np.array_equal(a.view(np.int64), b.view(np.int64))
+               for a, b in zip(_normalized_by_math_hypot(*first), first))
     shrink = math.exp(-0.5 * chi)
     dilated = (shrink * once[0], shrink * once[1],
                (1.0 / shrink) * once[2], (1.0 / shrink) * once[3])
