@@ -1,7 +1,7 @@
-"""Decimal text of float64 columns, written by numpy a chunk of rows at a time.
+"""Decimal text of float64 columns, written and read by numpy a chunk of rows at a time.
 
-Each number form turns a column into a NUL-padded ``(rows, width)`` uint8
-field, one value's ASCII text per row.  :func:`join_rows` lays constant
+Writing: each number form turns a column into a NUL-padded ``(rows, width)``
+uint8 field, one value's ASCII text per row.  :func:`join_rows` lays constant
 pieces and fields side by side and drops every NUL, which gives each row's
 text with no per-value Python call.
 
@@ -12,6 +12,8 @@ rounds as the exact decimal expansion would, except within that distance of
 a tie.  A value within 2^-12 of a tie, or outside the form's fast range
 (which leaves out every non-finite value) takes the per-value fallback: its
 row gets Python's own text, and the field widens if that text is wider.
+
+Reading: :func:`read_decimals` is the reverse, the float() of byte fields.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ _PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode("ascii"), 
 _HEX = np.frombuffer("".join(f"{i:02x}" for i in range(256)).encode("ascii"), np.uint16)
 _POW10 = 10.0 ** np.arange(17)           # exact doubles
 _POW10_INT = 10 ** np.arange(17, dtype=np.int64)
+_FAST_DIGITS = 15   # digits of a field read_decimals reads itself: their integer is below 10**15
 _TIE = 0.5 - 2.0 ** -12   # |scaled - rint(scaled)| beyond this is near a tie
 # Digit masks: _LEAD[k] keeps the last k of 10 integer columns, _TRAIL[k] the first
 # k of 16 decimal columns.
@@ -146,6 +149,42 @@ def json_numbers(col: np.ndarray) -> np.ndarray:
     field = _field([_sign(col), digits[:, 10 - int(whole_digits.max(initial=1)):], b".",
                     frac[:, :int(decimals.max(initial=1))]])
     return _fallback(field, col, slow, json_number_text)
+
+
+def read_decimals(data: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """float() of each field data[start:stop] of the UTF-8 bytes data, bit for bit.
+
+    A field [-]digits[.digits] with one to _FAST_DIGITS digits is read by numpy:
+    its bytes are gathered right-aligned into a (width, fields) matrix, a Horner
+    sum over the rows, skipping the dot, gives the integer m of its digits, and
+    the value is m / 10**f for the f digits after the dot.  m < 10**15 and 10**f
+    are exact doubles and one IEEE division is correctly rounded, as float() is,
+    so the bits are float()'s.  Every other field (an exponent, "+", spaces, "_",
+    inf or nan, non-ASCII digits, more digits) takes float() of its text, whose
+    ValueError is raised.
+    """
+    size = stops - starts
+    neg = (size > 0) & (data.take(starts, mode="clip") == ord("-"))
+    body = np.minimum(size - neg, _FAST_DIGITS + 2).astype(np.uint8)   # bytes after the sign
+    width = min(int(body.max(initial=1)), _FAST_DIGITS + 1)
+    back = np.arange(width, 0, -1, dtype=np.uint8)[:, None]   # row r: back[r] bytes before stop
+    mat = data.take(stops - back, mode="clip")
+    pad = back > body   # rows before the field's body
+    digits = mat - np.uint8(ord("0"))
+    dot = (mat == ord(".")) & ~pad
+    skip = dot | pad
+    dots = np.add.reduce(dot, axis=0, dtype=np.uint8)
+    fast = (np.logical_and.reduce((digits < 10) | skip, axis=0)
+            & (dots <= 1) & (body > dots) & (body - dots <= _FAST_DIGITS))
+    m = np.zeros(len(starts))
+    for row, skipped in zip(digits, skip):
+        m = np.where(skipped, m, m * 10.0 + row)
+    frac = np.add.reduce(dot * (back - np.uint8(1)), axis=0, dtype=np.uint8)
+    values = m / _POW10.take(frac, mode="clip")
+    values = np.where(neg, -values, values)
+    for i in np.flatnonzero(~fast).tolist():
+        values[i] = float(data[starts[i]:stops[i]].tobytes().decode("utf-8", "surrogatepass"))
+    return values
 
 
 def hex_colors(rgb: np.ndarray) -> np.ndarray:

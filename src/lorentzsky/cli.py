@@ -69,9 +69,9 @@ def _read_json(in_path: str | None) -> Any:
 
 
 def _number(value: Any) -> float:
-    """float(value), refusing a JSON true or false (TypeError), whose float() is 1.0 or 0.0."""
-    if isinstance(value, bool):
-        raise TypeError("a boolean is not a number")
+    """float(value) of a JSON number; a string, true or false is refused (TypeError)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
     return float(value)
 
 

@@ -234,6 +234,8 @@ def sl2r_to_so21(s: SL2RElement) -> np.ndarray:
 def su2_from_axis_angle(n: Iterable[float], phi: float) -> SU2Element:
     """cos(phi/2) I - i sin(phi/2) (n . sigma); covers the rotation R(n, phi)."""
     n = _unit_axis(n)
+    if not math.isfinite(phi):
+        raise RangeError(f"rotation angle must be finite, got {phi!r}")
     half = 0.5 * phi
     c, s = math.cos(half), math.sin(half)
     return SU2Element(complex(c, -n[2] * s), complex(-n[1] * s, -n[0] * s))

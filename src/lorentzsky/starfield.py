@@ -16,12 +16,13 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain
 from pathlib import Path
 from typing import IO, Sequence
 
 import numpy as np
 
+from ._text import read_decimals
 from .celestial import _exp_rapidity
 from .errors import ParseError, RangeError
 from .minkowski import Rapidity
@@ -29,7 +30,7 @@ from .sphere import _NORM_SKIP
 
 _HEADER = ["name", "ra_deg", "dec_deg", "vmag", "temp_k"]
 _DEFAULT_TEMP_K = 5778.0
-_BLOCK = 4096   # catalog lines parsed together as plain text
+_READ = 1 << 18   # characters of catalog text read and parsed together
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,17 +109,18 @@ def load_catalog(source: str | Path | IO[str]) -> Catalog:
     :class:`ParseError` with the offending line number; out-of-range values
     raise :class:`RangeError`.  Either error names the first bad line.
 
-    The body is read in blocks of _BLOCK lines, the units csv.reader reads;
-    plain blocks (see :func:`_plain_block`) are split as text.  The per-row csv
-    loop :func:`_parse_rows`, the reference parser and the error path, parses
-    everything from the first other block on, so a catalog with quoted names,
-    CRLF line endings or blank lines is parsed by it from the first such block.
+    The body is read _READ characters at a time, cut after the last newline;
+    plain pieces (see :func:`_plain_piece`) are parsed from their UTF-8 bytes.
+    The per-row csv loop :func:`_parse_rows`, the reference parser and the
+    error path, parses everything from the first other piece on, so a catalog
+    with quoted names, CR line endings, blank lines or a line longer than
+    _READ is parsed by it from the first such piece.  A stream must end its
+    lines at "\n" (newline None, "" or "\n"), as csv.reader needs.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as fh:
             return load_catalog(fh)
-    stream = iter(source)
-    reader = csv.reader(stream)
+    reader = csv.reader(source)
     offset = 0   # physical lines read before reader's first
     names, blocks = [], []   # blocks: (5, rows), the four values and the line number
     try:
@@ -129,15 +131,22 @@ def load_catalog(source: str | Path | IO[str]) -> Catalog:
             raise ParseError(1, f"expected header {','.join(_HEADER)} "
                                 f"(temp_k optional), got {','.join(header)}")
         offset = reader.line_num
-        while rows := list(islice(stream, _BLOCK)):
-            plain = _plain_block(rows, len(header), offset)
+        tail = ""   # the text after the last newline read
+        while text := tail + (chunk := source.read(_READ)):
+            cut = text.rfind("\n") + 1 if chunk else len(text)
+            plain = _plain_piece(text[:cut], len(header), offset) if cut else None
             if plain is None:
-                reader = csv.reader(chain(rows, stream))
+                # The lines iterating source gives: one that reports the newlines it
+                # reads (newline None or "") ends lines at "\r" and "\r\n" too.
+                newline = "" if getattr(source, "newlines", None) else "\n"
+                lines = io.StringIO(text + source.readline(), newline=newline)
+                reader = csv.reader(chain(lines, source))
                 _parse_rows(reader, offset, len(header), names, blocks)
                 break
             names += plain[0]
             blocks.append(plain[1])
-            offset += len(rows)
+            offset += len(plain[0])
+            tail = text[cut:]
     except (ParseError, csv.Error) as exc:
         _columns(blocks)  # an out-of-range value on an earlier line comes first
         if isinstance(exc, csv.Error):  # such as a field longer than csv.field_size_limit()
@@ -146,27 +155,41 @@ def load_catalog(source: str | Path | IO[str]) -> Catalog:
     return Catalog(names, *_columns(blocks))
 
 
-def _plain_block(rows: list[str], n_cols: int, offset: int) -> tuple[list[str], np.ndarray] | None:
-    """Names and (5, len(rows)) values and line numbers of plain rows, else None.
+def _plain_piece(text: str, n_cols: int, offset: int) -> tuple[list[str], np.ndarray] | None:
+    """Names and (5, lines) values and line numbers of plain lines, else None.
 
-    Plain rows need no csv rule: no quote, CR or NUL, n_cols - 1 commas each (so
-    no blank line), no line over the csv field limit, a name and float() numbers.
+    Plain lines need no csv rule: no quote, CR or NUL, n_cols - 1 commas and a
+    newline each (so no blank line; the last line may lack its newline), none
+    over the csv field limit, a name and numbers float() reads.
     """
-    text = "".join(rows)
-    if ('"' in text or "\r" in text or "\0" in text
-            or set(map(str.count, rows, repeat(","))) != {n_cols - 1}
-            or max(map(len, rows)) > csv.field_size_limit()):
+    if '"' in text or "\r" in text or "\0" in text:
         return None
-    fields = text.replace("\n", ",").split(",")
-    names = list(map(str.strip, fields[:-1:n_cols]))  # [:-1]: a final newline's empty field
-    values = np.full((5, len(rows)), _DEFAULT_TEMP_K)
-    values[4] = np.arange(offset + 1, offset + 1 + len(rows))
+    data = np.frombuffer((text if text.endswith("\n") else text + "\n")
+                         .encode("utf-8", "surrogatepass"), np.uint8)
+    seps = np.flatnonzero((data == ord(",")) | (data == ord("\n")))
+    if len(seps) % n_cols:
+        return None
+    seps = seps.reshape(-1, n_cols)
+    ends = seps[:, -1]
+    if (not (data[seps] == np.frombuffer(b"," * (n_cols - 1) + b"\n", np.uint8)).all()
+            or np.diff(ends, prepend=-1).max() > csv.field_size_limit()):
+        return None
+    # Each line's name and its comma, gathered into one text.
+    first = np.concatenate(([0], ends[:-1] + 1))
+    span = seps[:, 0] + 1 - first
+    at = np.repeat(first - np.cumsum(span) + span, span) + np.arange(span.sum())
+    names = list(map(str.strip, data[at].tobytes().decode("utf-8", "surrogatepass")
+                     .split(",")[:-1]))
+    if not all(names):
+        return None
+    values = np.full((5, len(names)), _DEFAULT_TEMP_K)
+    values[4] = np.arange(offset + 1, offset + 1 + len(names))
     try:
-        for k in range(1, n_cols):
-            values[k - 1] = np.fromiter(map(float, fields[k::n_cols]), float, len(rows))
+        values[:n_cols - 1] = read_decimals(data, seps[:, :-1].ravel() + 1,
+                                            seps[:, 1:].ravel()).reshape(-1, n_cols - 1).T
     except ValueError:
         return None
-    return (names, values) if all(names) else None
+    return names, values
 
 
 def _parse_rows(reader, offset: int, n_cols: int, names: list[str], blocks: list) -> None:

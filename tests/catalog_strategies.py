@@ -1,7 +1,7 @@
 """Hypothesis strategies for catalog CSV text, plain and hostile.
 
-Most rows are plain (what the block parser splits as text); the rest carry
-what sends a block to the csv loop or makes the parse fail: quoted names
+Most rows are plain (what the byte-piece parser reads itself); the rest carry
+what sends a piece to the csv loop or makes the parse fail: quoted names
 (with commas, doubled quotes or line breaks), CRLF and lone CR endings,
 blank lines, NUL, empty names, bad or non-finite numbers, out-of-range
 values, fields over csv.field_size_limit() and rows of the wrong width.
@@ -55,7 +55,7 @@ _ENDINGS = st.sampled_from(["\n"] * 12 + ["\r\n", "\r"])
 def catalog_rows(draw, n_cols):
     """One line (or a blank one) of a catalog with n_cols columns, ending included.
 
-    Three rows in four are plain, so that plain blocks come before hostile rows.
+    Three rows in four are plain, so that plain pieces come before hostile rows.
     """
     if draw(st.integers(0, 3)):
         return ",".join([draw(_PLAIN_NAMES)] + [draw(col) for col in _GOOD[:n_cols - 1]]) + "\n"

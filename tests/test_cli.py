@@ -299,6 +299,21 @@ def test_json_booleans_are_not_numbers(capsys, monkeypatch, command, text):
     assert "must be a" in err
 
 
+@pytest.mark.parametrize("command, text", [
+    ("classify", '{"m": [["1", 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}'),
+    ("decompose", '{"m": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, "1", 0], [0, 0, 0, 1]]}'),
+    ("lift", '{"m": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, "1.0"]]}'),
+    ("mobius", '{"a": "1", "b": 0, "c": 0, "d": 1, "points": []}'),
+    ("mobius", '{"a": ["1", 0], "b": 0, "c": 0, "d": 1, "points": []}'),
+    ("mobius", '{"a": 1, "b": 0, "c": 0, "d": [1, "0"], "points": []}'),
+    ("mobius", '{"a": 1, "b": 0, "c": 0, "d": 1, "points": [["0.5", 0]]}')])
+def test_json_strings_are_not_numbers(capsys, monkeypatch, command, text):
+    code, out, err = run(capsys, monkeypatch, [command], text)
+    assert code == 1
+    assert out == ""
+    assert "must be a" in err
+
+
 # Entries of 1e308 overflow the metric residual to inf.
 OVERFLOWING_MATRIX = '{"m": [[1e308, 0, 0, 0], [0, 1e308, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}'
 

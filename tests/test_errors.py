@@ -11,7 +11,7 @@ from lorentzsky import (FourVector, HermitianSlot, LorentzMatrix, MoebiusTransfo
                         StandardDecomposition, SU2Element, aberrate, blackbody_rgb,
                         boost_x, disc_radius_px, doppler, integrate_proper_acceleration,
                         rotation_about_axis, rotation_embed, sl2c_to_lorentz,
-                        sphere_metric_factor, validate_lorentz)
+                        sphere_metric_factor, su2_from_axis_angle, validate_lorentz)
 from lorentzsky.celestial import BondiPoint
 from lorentzsky.errors import LorentzSkyError, RangeError
 
@@ -52,6 +52,8 @@ SITES = {
     "lorentz_tolerance_inf_cover": lambda: sl2c_to_lorentz(SL2CElement(1e78, 0, 0, 1e-78)),
     "lorentz_tolerance_inf_product": lambda: boost_x(300.0) @ boost_x(300.0),
     "rotation_angle_inf": lambda: rotation_about_axis((0.0, 0.0, 1.0), math.inf),
+    "su2_angle_inf": lambda: su2_from_axis_angle((0.0, 0.0, 1.0), math.inf),
+    "su2_angle_nan": lambda: su2_from_axis_angle((0.0, 0.0, 1.0), math.nan),
     "proper_acceleration_shape": lambda: integrate_proper_acceleration([0.0], [1.0]),
     "proper_acceleration_nan": lambda: integrate_proper_acceleration([0.0, 1.0],
                                                                      [1.0, math.nan]),

@@ -13,7 +13,10 @@ import math
 import sys
 from json.encoder import encode_basestring_ascii
 
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -102,6 +105,64 @@ def test_fields_match_on_dense_ties_and_decades(rng):
         assert _first_difference(_rows(_text.fixed3(col)), ["%.3f" % v for v in values]) is None
         assert _first_difference(_rows(_text.json_numbers(col)),
                                  [_json_reference(v) for v in values]) is None
+
+
+def _read(fields: list[str]) -> np.ndarray:
+    """read_decimals over fields joined by commas, as the catalog parse calls it."""
+    data = ",".join(fields).encode("utf-8", "surrogatepass")
+    sizes = np.array([len(f.encode("utf-8", "surrogatepass")) for f in fields], dtype=np.intp)
+    stops = np.cumsum(sizes + 1) - 1
+    return _text.read_decimals(np.frombuffer(data, np.uint8), stops - sizes, stops)
+
+
+def _float_bits(fields: list[str]) -> list[str]:
+    return [float(f).hex() for f in fields]
+
+
+# (sign, digits before the dot, dot, digits after it): every form the fast path reads,
+# and longer ones that take float()
+_DECIMALS = st.tuples(st.sampled_from(["", "-"]), st.text("0123456789", max_size=18),
+                      st.booleans(), st.text("0123456789", max_size=18)).map(
+    lambda p: p[0] + p[1] + "." * p[2] + p[3] if p[2] else p[0] + p[1] + p[3]).filter(
+    lambda s: any(c.isdigit() for c in s))
+FAST_DECIMALS = ["-0", "0.000", "-0.000", ".5", "5.", "-.25", "007", "0", "359.999999",
+                 "-89.999999", "123456789012345", "-123456789012345", "999999999999999",
+                 "12345678901234.5", "-.123456789012345", "1234567.89012345", "0.30000000000000"]
+SLOW_DECIMALS = ["1234567890123456", "0.1234567890123456", "-1234567890.123456",
+                 "12345678901234567890.5", "1e5", "+1", " 7 ", "1_000", "٣", "inf", "nan",
+                 "-inf", "1E-3"]
+
+
+@given(st.lists(_DECIMALS, min_size=1, max_size=12))
+@example(FAST_DECIMALS)
+@example(SLOW_DECIMALS)
+def test_read_decimals_is_float(fields):
+    assert [v.hex() for v in _read(fields).tolist()] == _float_bits(fields)
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12),
+       st.integers(0, 12))
+def test_read_decimals_reads_written_decimals(values, places):
+    fields = [f"{v:.{places}f}" for v in values] + [repr(v) for v in values]
+    assert [v.hex() for v in _read(fields).tolist()] == _float_bits(fields)
+
+
+def test_read_decimals_calls_float_only_off_the_fast_path():
+    with mock.patch.object(_text, "float", side_effect=AssertionError, create=True):
+        assert [v.hex() for v in _read(FAST_DECIMALS).tolist()] == _float_bits(FAST_DECIMALS)
+    calls = []
+    with mock.patch.object(_text, "float", side_effect=lambda t: calls.append(t) or float(t),
+                           create=True):
+        _read(FAST_DECIMALS + SLOW_DECIMALS)
+    assert calls == SLOW_DECIMALS
+
+
+@pytest.mark.parametrize("bad", ["-", ".", "1.2.3", "--1", "", "-.", "1-", "1.2e"])
+def test_read_decimals_refuses_what_float_refuses(bad):
+    with pytest.raises(ValueError):
+        float(bad)
+    with pytest.raises(ValueError):
+        _read(["1.5", bad, "2"])
 
 
 def test_chunks_bound_the_row_matrix():
