@@ -30,7 +30,6 @@ from .spin import (HermitianSlot, SL2CElement, SL2RElement, SU2Element,
                    four_vector_from_hermitian, hermitian_from_four_vector,
                    lift_lorentz_to_sl2c, sl2c_to_lorentz, sl2r_to_so21,
                    su2_from_axis_angle, su2_to_so3)
-from .starfield import (BoostedCatalog, Catalog, catalog_to_csv, load_catalog,
-                        transform_catalog)
+from .starfield import BoostedCatalog, Catalog, load_catalog, transform_catalog
 
 __version__ = "0.1.0"

@@ -241,6 +241,8 @@ def rapidity_from_velocity(v: float) -> Rapidity:
 
 def velocity_from_rapidity(chi: Rapidity) -> float:
     """v = tanh(chi) in units of c."""
+    if not math.isfinite(chi):
+        raise RangeError(f"rapidity must be finite, got {chi!r}")
     return math.tanh(chi)
 
 
@@ -350,4 +352,8 @@ def integrate_proper_acceleration(tau: np.ndarray, accel: np.ndarray) -> Rapidit
         raise RangeError("samples must be finite")
     if np.any(np.diff(tau) < 0):
         raise RangeError("tau must be non-decreasing")
-    return float(np.trapezoid(accel, tau))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        chi = float(np.trapezoid(accel, tau))
+    if not math.isfinite(chi):
+        raise RangeError("the integrated rapidity overflows a double")
+    return chi

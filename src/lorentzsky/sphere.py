@@ -112,8 +112,8 @@ def stereo_project(x1: float, x2: float, x3: float, r: float) -> SpherePoint:
     The input must satisfy x1^2 + x2^2 + x3^2 = r^2 within 1e-9 r^2; the
     south pole itself maps to the point at infinity.
     """
-    if r <= 0:
-        raise NotOnSphere("radius must be positive")
+    if not 0 < r < math.inf:
+        raise NotOnSphere(f"radius must be positive and finite, got {r!r}")
     if abs(x1 * x1 + x2 * x2 + x3 * x3 - r * r) > 1e-9 * r * r:
         raise NotOnSphere(f"({x1}, {x2}, {x3}) is not on the sphere of radius {r}")
     # Equivalent homogeneous forms; pick the one whose second slot is large.
@@ -124,8 +124,8 @@ def stereo_project(x1: float, x2: float, x3: float, r: float) -> SpherePoint:
 
 def inverse_stereo(q: SpherePoint, r: float) -> tuple[float, float, float]:
     """Cartesian point of the sphere of radius r with stereographic image q."""
-    if r <= 0:
-        raise NotOnSphere("radius must be positive")
+    if not 0 < r < math.inf:
+        raise NotOnSphere(f"radius must be positive and finite, got {r!r}")
     w = q.z1 * q.z2.conjugate()
     return (2.0 * r * w.real,
             2.0 * r * w.imag,
@@ -141,8 +141,8 @@ def sphere_metric_factor(q: SpherePoint, r: float) -> float:
     """Round-metric conformal factor 4 r^2 / (1 + z conj(z))^2 at a finite point."""
     if q.is_infinity:
         raise InfinityPoint("metric factor in the affine chart needs a finite point")
-    if r <= 0:
-        raise RangeError("radius must be positive")
+    if not 0 < r < math.inf:
+        raise RangeError(f"radius must be positive and finite, got {r!r}")
     return 4.0 * r * r * abs(q.z2) ** 4
 
 
@@ -173,8 +173,11 @@ class MoebiusTransform:
     @classmethod
     def dilation(cls, chi: float) -> "MoebiusTransform":
         """z -> e^{-chi} z; contraction toward z = 0 for chi > 0."""
-        half = math.exp(-0.5 * chi)
-        return cls(SL2CElement(half, 0.0, 0.0, 1.0 / half))
+        try:
+            half = math.exp(-0.5 * chi)
+            return cls(SL2CElement(half, 0.0, 0.0, 1.0 / half))
+        except (OverflowError, ZeroDivisionError):  # e^{chi/2} or e^{-chi/2} overflows
+            raise RangeError(f"rapidity {chi!r} is out of range for a dilation") from None
 
     @classmethod
     def special(cls, b: complex) -> "MoebiusTransform":

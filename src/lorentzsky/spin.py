@@ -172,7 +172,7 @@ class HermitianSlot:
         if m.shape != (2, 2):
             raise RangeError("expected a 2x2 matrix")
         residual = float(np.abs(m - m.conj().T).max())
-        if residual > _HERMITIAN_TOL:
+        if not residual <= _HERMITIAN_TOL:  # also refuses nan
             raise NotHermitian(f"Hermiticity residual {residual:.3e} exceeds {_HERMITIAN_TOL}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)

@@ -107,7 +107,9 @@ def load_catalog(source: str | Path | IO[str]) -> Catalog:
 
     The temp_k column may be omitted (default 5778).  Malformed rows raise
     :class:`ParseError` with the offending line number; out-of-range values
-    raise :class:`RangeError`.  Either error names the first bad line.
+    raise :class:`RangeError`.  Either error names the first bad line.  A file
+    given by path that is not UTF-8 raises ParseError naming the line of its
+    first invalid byte; a stream lets its UnicodeDecodeError out.
 
     The body is read _READ characters at a time, cut after the last newline;
     plain pieces (see :func:`_plain_piece`) are parsed from their UTF-8 bytes.
@@ -118,11 +120,14 @@ def load_catalog(source: str | Path | IO[str]) -> Catalog:
     lines at "\n" (newline None, "" or "\n"), as csv.reader needs.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            return load_catalog(fh)
+        try:
+            with open(source, "r", encoding="utf-8", newline="") as fh:
+                return load_catalog(fh)
+        except UnicodeDecodeError:
+            return load_catalog(_TextBefore(Path(source).read_bytes()))
     reader = csv.reader(source)
     offset = 0   # physical lines read before reader's first
-    names, blocks = [], []   # blocks: (5, rows), the four values and the line number
+    names, blocks = [], []   # blocks: (4, rows) values, range-checked
     try:
         if (header := next(reader, None)) is None:
             raise ParseError(1, "missing header row")
@@ -134,29 +139,59 @@ def load_catalog(source: str | Path | IO[str]) -> Catalog:
         tail = ""   # the text after the last newline read
         while text := tail + (chunk := source.read(_READ)):
             cut = text.rfind("\n") + 1 if chunk else len(text)
-            plain = _plain_piece(text[:cut], len(header), offset) if cut else None
-            if plain is None:
+            piece = _plain_piece(text[:cut], len(header)) if cut else None
+            if piece is None:
                 # The lines iterating source gives: one that reports the newlines it
                 # reads (newline None or "") ends lines at "\r" and "\r\n" too.
                 newline = "" if getattr(source, "newlines", None) else "\n"
                 lines = io.StringIO(text + source.readline(), newline=newline)
                 reader = csv.reader(chain(lines, source))
-                _parse_rows(reader, offset, len(header), names, blocks)
+                piece = _parse_rows(reader, offset, len(header))
+                names += piece[0]
+                blocks.append(piece[1])
                 break
-            names += plain[0]
-            blocks.append(plain[1])
-            offset += len(plain[0])
+            _check_ranges(piece[1], lambda row: f"line {offset + 1 + row}")
+            names += piece[0]
+            blocks.append(piece[1])
+            offset += len(piece[0])
             tail = text[cut:]
-    except (ParseError, csv.Error) as exc:
-        _columns(blocks)  # an out-of-range value on an earlier line comes first
-        if isinstance(exc, csv.Error):  # such as a field longer than csv.field_size_limit()
-            raise ParseError(offset + reader.line_num, str(exc)) from None
-        raise
-    return Catalog(names, *_columns(blocks))
+    except csv.Error as exc:  # such as a field longer than csv.field_size_limit()
+        raise ParseError(offset + reader.line_num, str(exc)) from None
+    return Catalog(names, *np.concatenate([np.empty((4, 0)), *blocks], axis=1))
 
 
-def _plain_piece(text: str, n_cols: int, offset: int) -> tuple[list[str], np.ndarray] | None:
-    """Names and (5, lines) values and line numbers of plain lines, else None.
+class _TextBefore(io.StringIO):
+    """The text of a file before the line holding its first byte that is not UTF-8.
+
+    Reading or iterating on from its end raises ParseError naming that physical
+    line (line ends counted as open(..., newline="") counts them: LF, CRLF and a
+    lone CR), so the parser meets any error on an earlier line first.  readline()
+    returns "" there, so the csv fallback still parses the text it was handed.
+    """
+
+    def __init__(self, data: bytes):
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            head = data[:exc.start]
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        start = max(head.rfind(b"\n"), head.rfind(b"\r")) + 1
+        super().__init__(head[:start].decode("utf-8"), newline="")
+        self._error = ParseError(line, f"not UTF-8: byte 0x{data[len(head)]:02x}")
+
+    def read(self, size: int | None = -1) -> str:
+        if text := super().read(size):
+            return text
+        raise self._error
+
+    def __next__(self) -> str:
+        if line := self.readline():
+            return line
+        raise self._error
+
+
+def _plain_piece(text: str, n_cols: int) -> tuple[list[str], np.ndarray] | None:
+    """Names and (4, lines) values of plain lines, else None.
 
     Plain lines need no csv rule: no quote, CR or NUL, n_cols - 1 commas and a
     newline each (so no blank line; the last line may lack its newline), none
@@ -182,8 +217,7 @@ def _plain_piece(text: str, n_cols: int, offset: int) -> tuple[list[str], np.nda
                      .split(",")[:-1]))
     if not all(names):
         return None
-    values = np.full((5, len(names)), _DEFAULT_TEMP_K)
-    values[4] = np.arange(offset + 1, offset + 1 + len(names))
+    values = np.full((4, len(names)), _DEFAULT_TEMP_K)
     try:
         values[:n_cols - 1] = read_decimals(data, seps[:, :-1].ravel() + 1,
                                             seps[:, 1:].ravel()).reshape(-1, n_cols - 1).T
@@ -192,10 +226,11 @@ def _plain_piece(text: str, n_cols: int, offset: int) -> tuple[list[str], np.nda
     return names, values
 
 
-def _parse_rows(reader, offset: int, n_cols: int, names: list[str], blocks: list) -> None:
-    """Append reader's rows, numbered from offset, to names and blocks, even on error."""
+def _parse_rows(reader, offset: int, n_cols: int) -> tuple[list[str], np.ndarray]:
+    """Names and (4, rows) values of reader's rows, numbered from offset, range-checked."""
     pad = () if n_cols == len(_HEADER) else (_DEFAULT_TEMP_K,)
-    values: list[float] = []   # each row's four values and line number, flattened
+    names, lines = [], []   # each row's name and line number
+    values: list[float] = []   # each row's four values, flattened
     try:
         for row in reader:
             line = offset + reader.line_num   # its last line: a quoted field may span several
@@ -207,7 +242,7 @@ def _parse_rows(reader, offset: int, n_cols: int, names: list[str], blocks: list
             if not name:
                 raise ParseError(line, "column name: empty")
             try:
-                values.extend(tuple(map(float, row[1:])) + pad + (line,))
+                values.extend(tuple(map(float, row[1:])) + pad)
             except ValueError:
                 for col, text in zip(_HEADER[1:], row[1:]):
                     try:
@@ -216,15 +251,13 @@ def _parse_rows(reader, offset: int, n_cols: int, names: list[str], blocks: list
                         raise ParseError(line, f"column {col}: not a number: "
                                                f"{text!r}") from None
             names.append(name)
-    finally:
-        blocks.append(np.array(values, dtype=float).reshape(-1, 5).T)
-
-
-def _columns(blocks: list[np.ndarray]) -> np.ndarray:
-    """The parsed blocks' four value columns; RangeError names the first bad row's line."""
-    columns = np.concatenate([np.empty((5, 0)), *blocks], axis=1)
-    _check_ranges(columns[:4], lambda row: f"line {int(columns[4, row])}")
-    return columns[:4]
+            lines.append(line)
+    except (ParseError, csv.Error):
+        _check_ranges(np.reshape(values, (-1, 4)).T, lambda row: f"line {lines[row]}")
+        raise
+    block = np.reshape(values, (-1, 4)).T
+    _check_ranges(block, lambda row: f"line {lines[row]}")
+    return names, block
 
 
 def _normalized(z1r, z1i, z2r, z2i):
@@ -272,13 +305,3 @@ def transform_catalog(catalog: Catalog, chi: Rapidity) -> BoostedCatalog:
     return BoostedCatalog(catalog.names, z1r + 1j * z1i, z2r + 1j * z2i,
                           doppler, temp_k, catalog.vmag - 10.0 * log_d)
 
-
-def catalog_to_csv(catalog: Catalog) -> str:
-    """Serialize a catalog back to the CSV format."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_HEADER)
-    for row in zip(catalog.names, catalog.ra_deg.tolist(), catalog.dec_deg.tolist(),
-                   catalog.vmag.tolist(), catalog.temp_k.tolist()):
-        writer.writerow([row[0], *map(repr, row[1:])])
-    return buf.getvalue()

@@ -100,6 +100,9 @@ def _outcome(parse, text, newline):
 @example(HEADER + "a,1,95,3,4\nb,1,2,3,4\nc,1,2,3,4\n" + '"two\nlines",1,2,x,4\n', "", 20)
 @example(HEADER + "a,1,2,3,4\nb,1,2,3,4\nc,1,2,3,-4\n" + "n" * 200_000 + ",1,2,3,4\n", "", 20)
 @example(HEADER + "a,1,2,3,4\nb,1,2,3,4\nc,1,2,3,4\nd,1,2\x00,3,4\n", "", 20)
+# an out-of-range value in the csv loop's part comes before a later bad number or long field
+@example(HEADER + '"q",1,95,3,4\nb,1,2,x,4\n', "", 20)
+@example(HEADER + '"q",1,95,3,4\n' + "n" * 200_000 + ",1,2,3,4\n", "", 20)
 @example(HEADER + "a,1,2,3,4\n  ,1,2,3,4\n", "", 20)
 @example("name,ra_deg,dec_deg,vmag\na,1,2,3\nb,1,2,3", "\n", 20)
 @example(HEADER + "a,1,2,3,4\n\rb,1,2,3,4\n", "\n", 1 << 18)  # a CR inside a line

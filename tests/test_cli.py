@@ -431,11 +431,15 @@ def _argv(draw):
 # a dropped star's diagnostic must not precede the error of a failed write
 @example(["render", "--input", "{catalog}", "--out", "{out}", "--json", "--out", "{dir}"],
          "0,0.0,-1.0,0.0,1000.0")
+# a catalog that is not UTF-8: "\udcff" is written as the byte 0xff
+@example(["render", "--input", "{catalog}", "--out", "{out}"],
+         "name,ra_deg,dec_deg,vmag,temp_k\na\udcff,1,2,3,4\n")
 def test_argv_never_escapes_cli_main(argv, text):
     with tempfile.TemporaryDirectory() as tmp:
         paths = {"catalog": Path(tmp, "stars.csv"), "out": Path(tmp, "image"),
                  "dir": Path(tmp), "missing": Path(tmp, "no", "such")}
-        paths["catalog"].write_text(text, encoding="utf-8", newline="")
+        paths["catalog"].write_text(text, encoding="utf-8", errors="surrogateescape",
+                                    newline="")
         argv = [token.format(**paths) for token in argv]
         out, err = io.StringIO(), io.StringIO()
         cwd = os.getcwd()
@@ -449,3 +453,5 @@ def test_argv_never_escapes_cli_main(argv, text):
     assert "Traceback" not in err.getvalue()
     if code == 1:
         assert err.getvalue().startswith("error: ")
+    if "\udcff" in text:  # only in the example whose catalog is not UTF-8
+        assert (code, err.getvalue()) == (1, "error: line 2: not UTF-8: byte 0xff\n")

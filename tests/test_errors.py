@@ -1,5 +1,6 @@
 """Every element-type and argument check raises a LorentzSkyError (a RangeError, which is
-also the ValueError these checks raised before)."""
+also the ValueError these checks raised before, unless the function's other bad inputs
+already raise another LorentzSkyError)."""
 
 import math
 
@@ -10,10 +11,11 @@ from lorentzsky import (FourVector, HermitianSlot, LorentzMatrix, MoebiusTransfo
                         PolarAngles, RenderSpec, SL2CElement, SL2RElement, SpherePoint,
                         StandardDecomposition, SU2Element, aberrate, blackbody_rgb,
                         boost_x, disc_radius_px, doppler, integrate_proper_acceleration,
-                        rotation_about_axis, rotation_embed, sl2c_to_lorentz,
-                        sphere_metric_factor, su2_from_axis_angle, validate_lorentz)
+                        inverse_stereo, rotation_about_axis, rotation_embed, sl2c_to_lorentz,
+                        sphere_metric_factor, stereo_project, su2_from_axis_angle,
+                        validate_lorentz, velocity_from_rapidity)
 from lorentzsky.celestial import BondiPoint
-from lorentzsky.errors import LorentzSkyError, RangeError
+from lorentzsky.errors import LorentzSkyError, NotHermitian, NotOnSphere, RangeError
 
 Q = SpherePoint.from_complex(0.0)
 
@@ -43,8 +45,18 @@ SITES = {
     "sphere_point_zero": lambda: SpherePoint(0.0, 0.0),
     "sphere_point_inf": lambda: SpherePoint(math.inf, 1.0),
     "sphere_metric_radius": lambda: sphere_metric_factor(Q, 0.0),
+    "sphere_metric_radius_inf": lambda: sphere_metric_factor(Q, math.inf),
+    "sphere_metric_radius_nan": lambda: sphere_metric_factor(Q, math.nan),
+    "inverse_stereo_radius_nan": lambda: inverse_stereo(Q, math.nan),
+    "inverse_stereo_radius_inf": lambda: inverse_stereo(Q, math.inf),
+    "stereo_project_radius_inf": lambda: stereo_project(0.0, 0.0, 1.0, math.inf),
+    "stereo_project_radius_nan": lambda: stereo_project(0.0, 0.0, 1.0, math.nan),
     "moebius_special_zero": lambda: MoebiusTransform.special(0.0),
+    "moebius_dilation_underflow": lambda: MoebiusTransform.dilation(2000.0),
+    "moebius_dilation_overflow": lambda: MoebiusTransform.dilation(-2000.0),
+    "moebius_dilation_inf": lambda: MoebiusTransform.dilation(math.inf),
     "hermitian_shape": lambda: HermitianSlot(np.eye(3)),
+    "hermitian_nan": lambda: HermitianSlot([[math.nan, 0.0], [0.0, 1.0]]),
     "lorentz_tolerance": lambda: LorentzMatrix(np.eye(4), 0.0),
     "lorentz_shape": lambda: LorentzMatrix(np.eye(3)),
     "lorentz_tolerance_nan": lambda: validate_lorentz(np.eye(4), tol=math.nan),
@@ -59,6 +71,10 @@ SITES = {
                                                                      [1.0, math.nan]),
     "proper_acceleration_order": lambda: integrate_proper_acceleration([1.0, 0.0],
                                                                        [1.0, 1.0]),
+    "proper_acceleration_overflow": lambda: integrate_proper_acceleration([0.0, 1e308],
+                                                                          [1e308, 1e308]),
+    "velocity_rapidity_nan": lambda: velocity_from_rapidity(math.nan),
+    "velocity_rapidity_inf": lambda: velocity_from_rapidity(math.inf),
     "render_spec_float_width": lambda: RenderSpec(width=800.5, format="ppm"),
     "render_spec_float_height": lambda: RenderSpec(height=100.0, format="ppm"),
     "render_spec_text_width": lambda: RenderSpec(width="100"),
@@ -67,9 +83,22 @@ SITES = {
 }
 
 
+# the sites whose check raises the error its other inputs already raise, not a RangeError
+NOT_RANGE_ERRORS = {
+    "hermitian_nan": NotHermitian,
+    "inverse_stereo_radius_nan": NotOnSphere,
+    "inverse_stereo_radius_inf": NotOnSphere,
+    "stereo_project_radius_inf": NotOnSphere,
+    "stereo_project_radius_nan": NotOnSphere,
+}
+
+
 @pytest.mark.parametrize("site", sorted(SITES))
 def test_element_checks_raise_lorentzsky_errors(site):
     with pytest.raises(LorentzSkyError) as exc_info:
         SITES[site]()
+    if site in NOT_RANGE_ERRORS:
+        assert type(exc_info.value) is NOT_RANGE_ERRORS[site]
+        return
     assert isinstance(exc_info.value, RangeError)
     assert isinstance(exc_info.value, ValueError)

@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from lorentzsky import (Catalog, MoebiusTransform, PolarAngles, SpherePoint,
-                        catalog_to_csv, doppler, from_polar, load_catalog,
-                        to_polar, transform_catalog)
+from lorentzsky import (Catalog, MoebiusTransform, PolarAngles, SpherePoint, doppler,
+                        from_polar, load_catalog, to_polar, transform_catalog)
 from lorentzsky.errors import ParseError, RangeError
 from lorentzsky.sphere import _NORM_SKIP
 from lorentzsky.starfield import _normalized
@@ -116,12 +115,42 @@ def test_overlong_field_raises_parse_error():
     assert csv.field_size_limit() == limit
 
 
-def test_csv_round_trip():
-    stars = _catalog(("A", 12.5, -30.0, 4.25, 9000.0), ("B", 350.0, 89.9, 1.0, 3200.0))
-    back = load_catalog(io.StringIO(catalog_to_csv(stars)))
-    assert back.names == stars.names
-    for col in ("ra_deg", "dec_deg", "vmag", "temp_k"):
-        assert np.array_equal(getattr(back, col), getattr(stars, col))
+_BODY = HEADER.encode() + b"a,1,2,3,4\n"
+# file bytes, the error expected, its message
+NOT_UTF8 = {
+    "plain line": (_BODY + b"b\xff,1,2,3,4\nc,1,2,3,4\n", ParseError,
+                   "line 3: not UTF-8: byte 0xff"),
+    "header": (b"name,ra_deg,dec\xe9_deg,vmag\na,1,2,3\n", ParseError,
+               "line 1: not UTF-8: byte 0xe9"),
+    "CR line endings": (b"name,ra_deg,dec_deg,vmag\ra,1,2,3\rb,1,2,3\r\xc3(,1,2,3\r", ParseError,
+                        "line 4: not UTF-8: byte 0xc3"),
+    "CRLF line endings": (b"name,ra_deg,dec_deg,vmag\r\na,1,2,3\r\nb,1,2,3\xe2\x82\r\n",
+                          ParseError, "line 3: not UTF-8: byte 0xe2"),
+    "quoted multi-line name": (_BODY + b'"two\nli\x80nes",1,2,3,4\n', ParseError,
+                               "line 4: not UTF-8: byte 0x80"),
+    "last byte, cut sequence": (_BODY + b"\xe2\x82", ParseError, "line 3: not UTF-8: byte 0xe2"),
+    "after a long plain part": (_BODY + b"b,1,2,3,4\n" * 40_000 + b"\xff\n", ParseError,
+                                "line 40003: not UTF-8: byte 0xff"),
+    # an error on an earlier line comes first
+    "after an out-of-range value": (_BODY + b"b,1,95,3,4\nc,1,2,3,4\n\xff,1,2,3,4\n", RangeError,
+                                    "line 3: dec_deg = 95.0 outside [-90, 90]"),
+    "after an out-of-range quoted row": (_BODY + b'"b",1,2,3,-4\nc\xff,1,2,3,4\n', RangeError,
+                                         "line 3: temp_k = -4.0 must be positive"),
+    "after a bad row": (_BODY + b"b,1,2\n\xff,1,2,3,4\n", ParseError,
+                        "line 3: expected 5 columns, got 3"),
+}
+
+
+@pytest.mark.parametrize("data, error, message", NOT_UTF8.values(), ids=NOT_UTF8)
+def test_a_file_that_is_not_utf8_names_its_line(tmp_path, data, error, message):
+    path = tmp_path / "stars.csv"
+    path.write_bytes(data)
+    with pytest.raises(error) as exc_info:
+        load_catalog(path)
+    assert str(exc_info.value) == message
+    # a stream lets its decoder's error out
+    with open(path, encoding="utf-8", newline="") as fh, pytest.raises(UnicodeDecodeError):
+        load_catalog(fh)
 
 
 def test_chi_zero_is_identity():
