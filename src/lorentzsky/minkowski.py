@@ -22,6 +22,7 @@ DEFAULT_TOL = 1e-9
 METRIC = np.diag([-1.0, 1.0, 1.0, 1.0])
 METRIC.setflags(write=False)
 _ETA = METRIC.diagonal().copy()
+_ETA_SIGNS = np.outer(_ETA, _ETA)
 _I3 = np.eye(3)
 
 #: Rapidity is the additive boost parameter; a plain dimensionless float.
@@ -145,8 +146,8 @@ class LorentzMatrix:
         return FourVector(*(self.entries @ x.as_array()).tolist())
 
     def inverse(self) -> "LorentzMatrix":
-        # eta M^T eta is the exact inverse of a metric-preserving matrix.
-        return LorentzMatrix(METRIC @ self.entries.T @ METRIC, self.tol)
+        # eta M^T eta, the exact inverse of a metric-preserving matrix: eta_i M_ji eta_j.
+        return LorentzMatrix(self.entries.T * _ETA_SIGNS, self.tol)
 
     def __matmul__(self, other: "LorentzMatrix") -> "LorentzMatrix":
         product = self.entries @ other.entries
@@ -176,23 +177,27 @@ def _det(flat: list[float]) -> float:
     det m * m00.  The 4x4 determinant reads 0 from rapidity ~17 on and
     overflows for an oblique boost from ~178; dividing the first block row by
     m00 before the triple product keeps every product below ~cosh^2 chi,
-    finite up to |chi| ~ 355.3 (past chi ~ 34 the value is rounding).
+    finite up to |chi| ~ 355.3 (its sign is rounding from chi ~ 20 on).
     """
     m00 = flat[0]
     return _triple(flat[5] / m00, flat[6] / m00, flat[7] / m00, *flat[9:12], *flat[13:16])
 
 
 def classify_component(lam: LorentzMatrix) -> ComponentLabel:
-    """Component from the signs of det (see :func:`_det`) and of the 0-0 entry.
+    """Component from the signs of det and of the 0-0 entry.
 
-    For a pure boost the sign holds at least to chi = 34.  A boost between
-    two rotations rounds its entries by ~cosh(chi) ulp, which moves det of
-    the block by ~cosh^3 ulp against its size cosh chi: from chi ~ 20 on
-    such a product can be labelled improper.
+    det m = det m[1:, 1:] / m00.  The Schur complement of m00 is m[1:, 1:]^-T,
+    so w = a - m10 m[0, 1:] / m00 (a, b, c the rows of m[1:, 1:]) is its first
+    row, of size ~1, and (b x c) . w = |b x c|^2 / det m[1:, 1:] has the sign of
+    that det to ~cosh(chi) ulp relative: the label holds for rotation . boost .
+    rotation products to chi ~ 36, where the entries' own rounding reaches it.
     """
-    m = lam.entries
-    orthochronous = m[0, 0] > 0
-    proper = _det(m.ravel().tolist()) > 0
+    (m00, m01, m02, m03, m10, a0, a1, a2, _,
+     b0, b1, b2, _, c0, c1, c2) = lam.entries.ravel().tolist()
+    r = m10 / m00
+    orthochronous = m00 > 0
+    w_bc = _triple(a0 - r * m01, a1 - r * m02, a2 - r * m03, b0, b1, b2, c0, c1, c2)
+    proper = (w_bc > 0) == orthochronous
     if proper:
         return (ComponentLabel.PROPER_ORTHOCHRONOUS if orthochronous
                 else ComponentLabel.PROPER_ANTICHRONOUS)
@@ -284,13 +289,14 @@ def _unit_axis(n: Iterable[float]) -> np.ndarray:
 
 
 def rotation_about_axis(n: Iterable[float], chi_or_angle: float) -> np.ndarray:
-    """Rodrigues rotation matrix about unit axis ``n`` by the given angle."""
+    """Rodrigues rotation c I + s K + (1 - c) n n^T about unit axis ``n`` by the given
+    angle, with K the cross-product matrix of n (K^2 = n n^T - I)."""
     n = _unit_axis(n)
     if not math.isfinite(chi_or_angle):
         raise RangeError(f"rotation angle must be finite, got {chi_or_angle!r}")
     c, s = math.cos(chi_or_angle), math.sin(chi_or_angle)
     k = np.array([[0.0, -n[2], n[1]], [n[2], 0.0, -n[0]], [-n[1], n[0], 0.0]])
-    return np.eye(3) + s * k + (1.0 - c) * (k @ k)
+    return c * _I3 + s * k + (1.0 - c) * np.outer(n, n)
 
 
 def boost_axis(n: Iterable[float], chi: Rapidity) -> LorentzMatrix:

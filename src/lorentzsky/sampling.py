@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .minkowski import LorentzMatrix, boost_x, rotation_embed
+from .decompose import StandardDecomposition, recompose
+from .minkowski import LorentzMatrix
 from .spin import SL2CElement, SU2Element, su2_to_so3
 
 
@@ -41,5 +42,4 @@ def random_proper_orthochronous(rng: np.random.Generator,
                                 chi_max: float = 5.0) -> LorentzMatrix:
     """Random rotation . boost_x(chi) . rotation with chi uniform in [0, chi_max]."""
     chi = float(rng.uniform(0.0, chi_max))
-    return (rotation_embed(random_rotation(rng)) @ boost_x(chi)
-            @ rotation_embed(random_rotation(rng)))
+    return recompose(StandardDecomposition(random_rotation(rng), chi, random_rotation(rng)))

@@ -175,9 +175,12 @@ class MoebiusTransform:
         """z -> e^{-chi} z; contraction toward z = 0 for chi > 0."""
         try:
             half = math.exp(-0.5 * chi)
-            return cls(SL2CElement(half, 0.0, 0.0, 1.0 / half))
+            inv = 1.0 / half
         except (OverflowError, ZeroDivisionError):  # e^{chi/2} or e^{-chi/2} overflows
-            raise RangeError(f"rapidity {chi!r} is out of range for a dilation") from None
+            half = inv = math.inf
+        if not math.isfinite(half + inv):  # also the inf reciprocal of a subnormal e^{-chi/2}
+            raise RangeError(f"rapidity {chi!r} is out of range for a dilation")
+        return cls(SL2CElement(half, 0.0, 0.0, inv))
 
     @classmethod
     def special(cls, b: complex) -> "MoebiusTransform":

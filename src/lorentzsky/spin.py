@@ -26,20 +26,14 @@ _LIFT_TOL = 1e-8
 _HERMITIAN_TOL = 1e-12
 _SU2_NORM_TOL = 1e-10
 
-SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
-
+#: The Pauli matrices sigma1, sigma2, sigma3.
+_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
 #: Basis of 2x2 Hermitian matrices carrying four-vector components.
-TAU = np.stack([np.eye(2, dtype=complex), -SIGMA1, SIGMA2, SIGMA3])
-_PAULI = np.stack([SIGMA1, SIGMA2, SIGMA3])
+TAU = np.stack([np.eye(2, dtype=complex), -_PAULI[0], _PAULI[1], _PAULI[2]])
 
 #: Traceless real generators for the 3d cover; tr(t_mu t_nu) = 2 eta_mu_nu.
-_SL2R_GEN = np.stack([
-    np.array([[0.0, 1.0], [-1.0, 0.0]]),
-    np.array([[0.0, 1.0], [1.0, 0.0]]),
-    np.array([[1.0, 0.0], [0.0, -1.0]]),
-])
+_SL2R_GEN = np.array([[[0.0, 1.0], [-1.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]],
+                      [[1.0, 0.0], [0.0, -1.0]]])
 
 
 def _adjoint_form(basis: np.ndarray) -> np.ndarray:
@@ -59,20 +53,45 @@ for _const in (TAU, _PAULI, _SL2R_GEN, _COVER, _SO3_COVER, _SO21_COVER, _LIFT):
 
 
 @dataclass(frozen=True)
-class SL2CElement:
-    """Complex 2x2 matrix ((a, b), (c, d)) with unit determinant."""
+class _Unimodular:
+    """2x2 matrix ((a, b), (c, d)) with unit determinant and entries of type ``_scalar``.
+
+    Products, negation and the inverse are written out in the four entries.
+    """
 
     a: complex
     b: complex
     c: complex
     d: complex
 
+    _scalar = complex
+
     def __post_init__(self):
-        for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
-        det = self.a * self.d - self.b * self.c
+        scalar = self._scalar
+        a, b, c, d = scalar(self.a), scalar(self.b), scalar(self.c), scalar(self.d)
+        det = a * d - b * c
         if not abs(det - 1.0) <= _DET_TOL:  # also refuses nan
             raise RangeError(f"determinant {det} is not 1 within {_DET_TOL}")
+        self.__dict__.update(a=a, b=b, c=c, d=d)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return np.array([[self.a, self.b], [self.c, self.d]])
+
+    def __matmul__(self, other: "_Unimodular") -> "_Unimodular":
+        a, b, c, d = self.a, self.b, self.c, self.d
+        return type(self)(a * other.a + b * other.c, a * other.b + b * other.d,
+                          c * other.a + d * other.c, c * other.b + d * other.d)
+
+    def __neg__(self) -> "_Unimodular":
+        return type(self)(-self.a, -self.b, -self.c, -self.d)
+
+    def inverse(self) -> "_Unimodular":
+        return type(self)(self.d, -self.b, -self.c, self.a)
+
+
+class SL2CElement(_Unimodular):
+    """Complex 2x2 matrix ((a, b), (c, d)) with unit determinant."""
 
     @classmethod
     def identity(cls) -> "SL2CElement":
@@ -81,20 +100,10 @@ class SL2CElement:
     @classmethod
     def from_matrix(cls, m: np.ndarray) -> "SL2CElement":
         m = np.asarray(m, dtype=complex)
-        return cls(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.a, self.b], [self.c, self.d]])
-
-    def __matmul__(self, other: "SL2CElement") -> "SL2CElement":
-        return SL2CElement.from_matrix(self.matrix @ other.matrix)
-
-    def __neg__(self) -> "SL2CElement":
-        return SL2CElement(-self.a, -self.b, -self.c, -self.d)
-
-    def inverse(self) -> "SL2CElement":
-        return SL2CElement(self.d, -self.b, -self.c, self.a)
+        if m.shape != (2, 2):
+            raise RangeError(f"expected a 2x2 matrix, got shape {m.shape}")
+        (a, b), (c, d) = m.tolist()
+        return cls(a, b, c, d)
 
 
 @dataclass(frozen=True)
@@ -113,49 +122,26 @@ class SU2Element:
 
     @property
     def matrix(self) -> np.ndarray:
-        return np.array([[self.alpha, self.beta],
-                         [-self.beta.conjugate(), self.alpha.conjugate()]])
+        return self.to_sl2c().matrix
 
     def to_sl2c(self) -> SL2CElement:
-        return SL2CElement.from_matrix(self.matrix)
+        return SL2CElement(self.alpha, self.beta, -self.beta.conjugate(), self.alpha.conjugate())
 
     def __matmul__(self, other: "SU2Element") -> "SU2Element":
-        m = self.matrix @ other.matrix
-        return SU2Element(m[0, 0], m[0, 1])
+        return SU2Element(self.alpha * other.alpha - self.beta * other.beta.conjugate(),
+                          self.alpha * other.beta + self.beta * other.alpha.conjugate())
 
     def __neg__(self) -> "SU2Element":
         return SU2Element(-self.alpha, -self.beta)
 
 
-@dataclass(frozen=True)
-class SL2RElement:
+class SL2RElement(_Unimodular):
     """Real 2x2 matrix ((a, b), (c, d)) with unit determinant."""
 
-    a: float
-    b: float
-    c: float
-    d: float
-
-    def __post_init__(self):
-        for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        det = self.a * self.d - self.b * self.c
-        if not abs(det - 1.0) <= _DET_TOL:  # also refuses nan
-            raise RangeError(f"determinant {det} is not 1 within {_DET_TOL}")
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.a, self.b], [self.c, self.d]])
+    _scalar = float
 
     def inverse_matrix(self) -> np.ndarray:
         return np.array([[self.d, -self.b], [-self.c, self.a]])
-
-    def __matmul__(self, other: "SL2RElement") -> "SL2RElement":
-        m = self.matrix @ other.matrix
-        return SL2RElement(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
-
-    def __neg__(self) -> "SL2RElement":
-        return SL2RElement(-self.a, -self.b, -self.c, -self.d)
 
 
 @dataclass(frozen=True, eq=False)

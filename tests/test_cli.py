@@ -314,6 +314,20 @@ def test_json_strings_are_not_numbers(capsys, monkeypatch, command, text):
     assert "must be a" in err
 
 
+@pytest.mark.parametrize("command, text, message", [
+    ("classify", '{"m": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]}',
+     '"m" must be a 4x4 array of numbers'),
+    ("lift", '{"m": [1, 0, 0, 0]}', '"m" must be a 4x4 array of numbers'),
+    ("mobius", '{"a": 1, "b": 0, "c": 0, "d": 1, "points": "inf"}',
+     '"points" must be a list of [re, im] pairs or "inf"'),
+    ("mobius", '{"a": 1, "b": 0, "c": 0, "d": 1}',
+     '"points" must be a list of [re, im] pairs or "inf"'),
+    ("mobius", '[1, 0, 0, 1]', "expected a JSON object with keys a, b, c, d, points")])
+def test_json_of_the_wrong_shape_exits_1(capsys, monkeypatch, command, text, message):
+    code, out, err = run(capsys, monkeypatch, [command], text)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 # Entries of 1e308 overflow the metric residual to inf.
 OVERFLOWING_MATRIX = '{"m": [[1e308, 0, 0, 0], [0, 1e308, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}'
 

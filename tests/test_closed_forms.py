@@ -5,7 +5,8 @@ The reference expressions below are the definitions themselves: the
 adjoint action read off by trace pairing, the four-operand lift identity,
 the product of three validated Lorentz matrices, the Lorentz-matrix check
 with the 4 x 4 determinant, the component read from the unscaled triple
-product, and the exact action composed from the public maps.
+product (or known by construction), and the exact action composed from the
+public maps.
 """
 
 import math
@@ -194,15 +195,44 @@ def test_lorentz_check_matches_the_4x4_determinant_check(rng):
 
 
 def test_component_labels_match_the_unscaled_triple_product(rng):
-    # pure oblique boosts to chi = 34, rotation . boost . rotation to chi = 20;
-    # past that the product's own rounding reaches the sign of the block det
-    cases = [boost_axis(random_axis(rng), chi).entries
-             for chi in np.linspace(0.0, 34.0, 200)]
-    cases += [random_lorentz_entries(rng, chi) for chi in rng.uniform(0.0, 20.0, 800)]
-    for m in cases:
-        for flip in (np.eye(4), parity().entries, time_reversal().entries):
-            lam = LorentzMatrix(flip @ m, DEFAULT_TOL * math.cosh(34.0) ** 2)
-            assert classify_component(lam) is ref_component(lam.entries)
+    # pure oblique boosts to chi = 34 against the label known by construction
+    # (the unscaled triple product itself loses their sign from chi ~ 21);
+    # rotation . boost . rotation to chi = 20 against that triple product
+    flips = ((np.eye(4), ComponentLabel.PROPER_ORTHOCHRONOUS),
+             (parity().entries, ComponentLabel.IMPROPER_ORTHOCHRONOUS),
+             (time_reversal().entries, ComponentLabel.IMPROPER_ANTICHRONOUS))
+    boosts = [boost_axis(random_axis(rng), chi).entries for chi in np.linspace(0.0, 34.0, 200)]
+    products = [random_lorentz_entries(rng, chi) for chi in rng.uniform(0.0, 20.0, 800)]
+    for cases, by_construction in ((boosts, True), (products, False)):
+        for m in cases:
+            for flip, label in flips:
+                lam = LorentzMatrix(flip @ m, DEFAULT_TOL * math.cosh(34.0) ** 2)
+                want = label if by_construction else ref_component(lam.entries)
+                assert classify_component(lam) is want
+
+
+def random_boost(rng, chi):
+    return boost_axis(random_axis(rng), chi)
+
+
+def random_product(rng, chi):
+    return (rotation_embed(random_rotation(rng)) @ random_boost(rng, chi)
+            @ rotation_embed(random_rotation(rng)))
+
+
+def mislabelled_per_band(rng, make, bands, draws):
+    """For each k in bands: how many of ``draws`` proper orthochronous make(rng, chi),
+    chi uniform in [k, k + 1], classify_component labels otherwise."""
+    return {k: sum(classify_component(make(rng, chi)) is not ComponentLabel.PROPER_ORTHOCHRONOUS
+                   for chi in rng.uniform(k, k + 1, draws)) for k in bands}
+
+
+@pytest.mark.parametrize("make", [random_boost, random_product], ids=["boost", "product"])
+def test_component_labels_hold_in_every_rapidity_band_to_35(rng, make):
+    assert mislabelled_per_band(rng, make, range(35), 200) == dict.fromkeys(range(35), 0)
+    # the documented limit: from chi ~ 36 the entries' own rounding, ~cosh(chi)
+    # ulp relative, reaches the sign (about a third are mislabelled in [38, 39])
+    assert mislabelled_per_band(rng, make, [38], 100)[38] > 0
 
 
 def bits(b):

@@ -26,6 +26,7 @@ SITES = {
     "bondi_nan_u": lambda: BondiPoint(math.nan, 1.0, Q),
     "sl2c_det": lambda: SL2CElement(2.0, 0.0, 0.0, 1.0),
     "sl2c_nan": lambda: SL2CElement(math.nan, 0.0, 0.0, 1.0),
+    "sl2c_from_matrix_shape": lambda: SL2CElement.from_matrix(np.eye(3)),
     "su2_norm": lambda: SU2Element(1.0, 1.0),
     "su2_nan": lambda: SU2Element(math.nan, 0.0),
     "sl2r_det": lambda: SL2RElement(2.0, 0.0, 0.0, 1.0),

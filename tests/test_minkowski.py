@@ -106,6 +106,9 @@ def test_apply_and_poincare_composition(rng):
     lam = random_proper_orthochronous(rng, chi_max=1.5)
     a = FourVector(0.3, -1.2, 0.5, 2.0)
     g = PoincareTransform(lam, a)
+    assert g.apply(zero) == a
+    assert a - a == zero
+    assert lam != object()
     gid = poincare_compose(g, g.inverse())
     assert np.abs(gid.lorentz.entries - np.eye(4)).max() < 1e-12
     assert np.abs(gid.translation.as_array()).max() < 1e-12

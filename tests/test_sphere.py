@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from lorentzsky import (MoebiusTransform, PolarAngles, SpherePoint, antipode,
                         from_polar, inverse_stereo, sphere_metric_factor,
                         stereo_project, to_polar)
-from lorentzsky.errors import InfinityPoint, NotOnSphere
+from lorentzsky.errors import InfinityPoint, NotOnSphere, RangeError
 from lorentzsky.sampling import random_sl2c
 
 finite_coords = st.floats(min_value=-5, max_value=5)
@@ -91,6 +92,9 @@ def test_from_complex_handles_large_values():
     # abs() of this finite value overflows; the point is still infinity
     near_max = SpherePoint.from_complex(complex(1.2711610061536462e308, 1.2711610061536464e308))
     assert near_max.is_infinity
+    assert SpherePoint.from_complex(complex(math.inf, 0.0)) == SpherePoint.infinity()
+    with pytest.raises(InfinityPoint):
+        huge.to_complex()
 
 
 def test_moebius_examples():
@@ -115,6 +119,7 @@ def test_moebius_special_swaps_poles():
     assert t.apply(SpherePoint.infinity()).to_complex() == pytest.approx(0.0)
     z = 1.0 + 1.0j
     assert t.apply_complex(z) == pytest.approx(-b * b / z)
+    assert t.apply_complex(0.0) == complex(math.inf, 0.0)  # the map's pole
 
 
 def test_moebius_compose_and_invert(rng):
@@ -136,6 +141,22 @@ def test_dilation_additivity_and_rotation_translation_example():
     theta, b = 0.6, 0.25 - 0.5j
     t = MoebiusTransform.rotation(theta).compose(MoebiusTransform.translation(b))
     assert t.apply_complex(0.0) == pytest.approx(b * cmath.exp(-1j * theta))
+
+
+@pytest.mark.parametrize("chi", [1419.57, 1430.0, 1490.0, 2000.0, -1419.57, -2000.0,
+                                 math.inf, -math.inf, math.nan])
+def test_dilation_out_of_range_names_the_rapidity(chi):
+    # past chi ~ 1419.565 e^(-chi/2) is a subnormal below 1 / DBL_MAX, whose
+    # reciprocal is inf with no exception; from ~ 1490 it is 0; below
+    # ~ -1419.565 e^(-chi/2) overflows
+    message = f"rapidity {chi!r} is out of range for a dilation"
+    with pytest.raises(RangeError, match=f"^{re.escape(message)}$"):
+        MoebiusTransform.dilation(chi)
+
+
+def test_dilation_constructs_up_to_the_reciprocal_limit():
+    s = MoebiusTransform.dilation(1419.56).s
+    assert s.a.real * s.d.real == pytest.approx(1.0, abs=1e-9)
 
 
 def test_sign_quotient_is_exact(rng):

@@ -77,6 +77,7 @@ def test_hermitian_from_four_vector_examples():
     assert np.abs(slot.matrix - np.array([[2, -1], [-1, 2]])).max() == 0.0
     assert slot.det == pytest.approx(3.0)
     assert slot.det == pytest.approx(-interval_squared(FourVector(2, 1, 0, 0)))
+    assert four_vector_from_hermitian(np.array([[2, -1], [-1, 2]])) == FourVector(2, 1, 0, 0)
 
 
 def test_hermitian_round_trip(rng):

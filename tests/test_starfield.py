@@ -76,6 +76,8 @@ def test_out_of_range_values_raise_range_error():
         load_catalog(io.StringIO(HEADER + "A,10,0,3,-5\n"))
     with pytest.raises(RangeError):
         _catalog(("A", 0.0, 0.0, 0.0, 0.0))
+    with pytest.raises(RangeError, match=r"^dec_deg has shape \(2,\), expected \(1,\)$"):
+        Catalog(["A"], [1.0], [2.0, 3.0], [3.0], [4000.0])
 
 
 def test_errors_name_the_first_bad_line():
