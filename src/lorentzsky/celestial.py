@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotNull, NotOrthochronous, OriginDirectionUndefined, RangeError
-from .minkowski import FourVector, LorentzMatrix, Rapidity, _require_finite, interval_squared
+from .minkowski import (FourVector, LorentzMatrix, Rapidity, _matmul, _require_finite,
+                        interval_squared)
 from .sphere import MoebiusTransform, SpherePoint, inverse_stereo, stereo_project
 from .spin import SL2CElement
 
@@ -67,7 +68,8 @@ def act_exact(lam: LorentzMatrix, b: BondiPoint) -> BondiPoint:
     bit for bit and with the same errors, without the intermediate four-vectors."""
     x = _inertial(b)
     _require_finite(x)
-    y = (lam.entries @ np.array(x)).tolist()
+    # lam's entries square to its finite residual, so they are below sqrt(DBL_MAX).
+    y = _matmul(lam.entries, np.array(x), sum(map(abs, x))).tolist()
     _require_finite(y)
     return _bondi(*y)
 

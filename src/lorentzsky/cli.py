@@ -10,6 +10,7 @@ JSON {"m": [[row0], [row1], [row2], [row3]]}; complex numbers as
 from __future__ import annotations
 
 import argparse
+import cmath
 import io
 import json
 import math
@@ -24,9 +25,9 @@ from . import _text
 from .celestial import aberrate, doppler
 from .decompose import standard_decompose
 from .errors import LorentzSkyError
-from .minkowski import LorentzMatrix, validate_lorentz
-from .render import RenderSpec, render
-from .sphere import MoebiusTransform, SpherePoint
+from .minkowski import LorentzMatrix, classify_component, validate_lorentz
+from .render import RenderSpec, _FORMATS, _HEMISPHERES, _PROJECTIONS, render
+from .sphere import MoebiusTransform
 from .spin import SL2CElement, lift_lorentz_to_sl2c
 from .starfield import BoostedCatalog, load_catalog, transform_catalog
 
@@ -75,7 +76,8 @@ def _number(value: Any) -> float:
     return float(value)
 
 
-def _matrix_from_json(payload: Any) -> list[list[float]]:
+def _lorentz_from_input(in_path: str | None) -> LorentzMatrix:
+    payload = _read_json(in_path)
     if not isinstance(payload, dict) or "m" not in payload:
         raise LorentzSkyError('expected a JSON object with key "m"')
     m = payload["m"]
@@ -83,9 +85,10 @@ def _matrix_from_json(payload: Any) -> list[list[float]]:
             or any(not isinstance(r, list) or len(r) != 4 for r in m)):
         raise LorentzSkyError('"m" must be a 4x4 array of numbers')
     try:
-        return [[_number(v) for v in row] for row in m]
+        m = [[_number(v) for v in row] for row in m]
     except (TypeError, ValueError, OverflowError):
         raise LorentzSkyError('"m" must be a 4x4 array of numbers') from None
+    return validate_lorentz(m)
 
 
 def _complex_from_json(value: Any, key: str) -> complex:
@@ -99,16 +102,9 @@ def _complex_from_json(value: Any, key: str) -> complex:
     raise LorentzSkyError(f'"{key}" must be a number or an [re, im] pair')
 
 
-def _lorentz_from_input(in_path: str | None) -> LorentzMatrix:
-    m = _matrix_from_json(_read_json(in_path))
-    # A residual that overflows reads inf or nan, which validation refuses: no numpy warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return validate_lorentz(m)
-
-
 def _cmd_classify(args: argparse.Namespace) -> int:
     lam = _lorentz_from_input(args.input)
-    _emit(lam.component().value + "\n", args.out)
+    _emit(classify_component(lam).value + "\n", args.out)
     return 0
 
 
@@ -139,16 +135,9 @@ def _cmd_mobius(args: argparse.Namespace) -> int:
         raise LorentzSkyError('"points" must be a list of [re, im] pairs or "inf"')
     images = []
     for i, entry in enumerate(points):
-        if entry == "inf":
-            q = SpherePoint.infinity()
-        else:
-            q = SpherePoint.from_complex(_complex_from_json(entry, f"points[{i}]"))
-        image = mob.apply(q)
-        if image.is_infinity:
-            images.append("inf")
-        else:
-            w = image.to_complex()
-            images.append([w.real, w.imag])
+        z = math.inf if entry == "inf" else _complex_from_json(entry, f"points[{i}]")
+        w = mob.apply_complex(z)
+        images.append("inf" if cmath.isinf(w) else [w.real, w.imag])
     _emit_json({"points": images}, args.out)
     return 0
 
@@ -245,13 +234,11 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="boost rapidity along +x3 (omit for the unboosted sky)")
     p.add_argument("--input", required=True, help="catalog CSV")
     p.add_argument("--out", required=True, help="image file to write")
-    p.add_argument("--format", choices=["svg", "ppm"], default="svg")
-    p.add_argument("--projection", choices=["stereographic", "orthographic"],
-                   default="stereographic")
-    p.add_argument("--hemisphere", choices=["north", "south", "both"],
-                   default="north")
-    p.add_argument("--width", type=int, default=800)
-    p.add_argument("--height", type=int, default=800)
+    p.add_argument("--format", choices=_FORMATS, default=RenderSpec.format)
+    p.add_argument("--projection", choices=_PROJECTIONS, default=RenderSpec.projection)
+    p.add_argument("--hemisphere", choices=_HEMISPHERES, default=RenderSpec.hemisphere)
+    p.add_argument("--width", type=int, default=RenderSpec.width)
+    p.add_argument("--height", type=int, default=RenderSpec.height)
     p.add_argument("--json", action="store_true",
                    help="print a JSON summary with per-star photometry")
     p.set_defaults(func=_cmd_render)

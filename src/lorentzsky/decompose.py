@@ -9,8 +9,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import RangeError, WrongComponent
-from .minkowski import (ComponentLabel, LorentzMatrix, Rapidity, _are_rotations,
-                        _boost_terms, classify_component)
+from .minkowski import (ComponentLabel, LorentzMatrix, Rapidity, _boost_terms, _is_rotation,
+                        _tolerance, classify_component)
 
 _ROTATION_TOL = 1e-10
 _PURE_ROTATION_THRESHOLD = 1e-12
@@ -29,12 +29,9 @@ class StandardDecomposition:
     r2: np.ndarray
 
     def __post_init__(self):
-        names = ("r1", "r2")
-        rs = [np.array(getattr(self, name), dtype=float) for name in names]
-        shaped = [r.shape == (3, 3) for r in rs]
-        ok = _are_rotations(np.array(rs), _ROTATION_TOL) if all(shaped) else shaped
-        for name, r, good in zip(names, rs, ok):
-            if not good:
+        for name in ("r1", "r2"):
+            r = np.array(getattr(self, name), dtype=float)
+            if not _is_rotation(r, _ROTATION_TOL):
                 raise RangeError(f"{name} must be a 3x3 rotation with det +1")
             r.setflags(write=False)
             object.__setattr__(self, name, r)
@@ -95,13 +92,13 @@ def standard_decompose(lam: LorentzMatrix) -> StandardDecomposition:
 
 def recompose(d: StandardDecomposition) -> LorentzMatrix:
     """Closed form of embed(r1) . boost_x(chi) . embed(r2), checked with boost_x's tolerance."""
-    ch, sh, tol = _boost_terms(d.chi)
+    ch, sh = _boost_terms(d.chi)
     m = np.empty((4, 4))
     m[0, 0] = ch
     m[0, 1:] = -sh * d.r2[0]
     m[1:, 0] = -sh * d.r1[:, 0]
     m[1:, 1:] = d.r1 @ (np.array([[ch], [1.0], [1.0]]) * d.r2)
-    return LorentzMatrix(m, tol)
+    return LorentzMatrix(m, _tolerance(ch, ch))
 
 
 def rapidity_of(lam: LorentzMatrix) -> Rapidity:

@@ -120,13 +120,14 @@ class LorentzMatrix:
             raise RangeError(f"expected a 4x4 matrix, got shape {m.shape}")
         flat = m.ravel().tolist()
         # A nan or inf entry makes the sum non-finite; so can an overflow.
-        if not math.isfinite(sum(flat)) and not np.isfinite(m).all():
+        size = sum(map(abs, flat))
+        if not math.isfinite(size) and not np.isfinite(m).all():
             raise NotLorentz(math.inf, "matrix has non-finite entries")
         if not 0.0 < self.tol < math.inf:  # an inf tolerance would accept an inf residual
             raise RangeError(f"tolerance must be positive and finite, got {self.tol!r}")
         # m^T eta is m^T with column 0 negated: the bits of m^T @ METRIC @ m.
         # "not <=" rejects a nan residual too (inf - inf from overflowing products).
-        residual = float(np.abs((m.T * _ETA) @ m - METRIC).max())
+        residual = float(np.abs(_matmul(m.T * _ETA, m, size) - METRIC).max())
         if not residual <= self.tol:
             raise NotLorentz(residual)
         # residual <= tol < 1 already gives |m00| >= sqrt(1 - tol); from tol = 1
@@ -139,9 +140,6 @@ class LorentzMatrix:
         object.__setattr__(self, "entries", m)
         object.__setattr__(self, "residual", residual)
 
-    def component(self) -> ComponentLabel:
-        return classify_component(self)
-
     def apply(self, x: FourVector) -> FourVector:
         return FourVector(*(self.entries @ x.as_array()).tolist())
 
@@ -150,12 +148,30 @@ class LorentzMatrix:
         return LorentzMatrix(self.entries.T * _ETA_SIGNS, self.tol)
 
     def __matmul__(self, other: "LorentzMatrix") -> "LorentzMatrix":
-        product = self.entries @ other.entries
-        # The metric residual of a product grows with the squared entry
-        # scale even when both factors are exact; loosen proportionally.
-        scale = float(np.abs(product).max())
-        tol = max(self.tol, other.tol) * max(1.0, scale * scale)
+        b = other.entries.ravel().tolist()  # for _matmul: self's validated entries < sqrt(DBL_MAX)
+        product = _matmul(self.entries, other.entries, sum(map(abs, b)))
+        # P^T eta P - eta = B^T E_A B + E_B, and a Lorentz B's column |sums| are at most
+        # (1 + sqrt 3) b00, (1 + sqrt 3)^2 < 7.47: A's residual is carried through B and B's
+        # added to the rule for entries of size a00 * b00; a loose factor's tol is a floor.
+        carried = self.residual * 7.47 * b[0] * b[0] + other.residual
+        scale = abs(self.entries[0, 0].item() * b[0])
+        tol = max(self.tol, other.tol, _tolerance(scale, product[0, 0].item()) + carried)
         return LorentzMatrix(product, tol)
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, size: float) -> np.ndarray:
+    """a @ b, for a's entries below sqrt(DBL_MAX) and ``size`` the sum of b's |entries|: under
+    1e154 no sum overflows and no np.errstate (~2 us) is paid; past it, the caller refuses inf."""
+    if size < 1e154:
+        return a @ b
+    with np.errstate(over="ignore", invalid="ignore"):
+        return a @ b
+
+
+def _tolerance(scale: float, m00: float) -> float:
+    """From entries of size ``scale`` a Lorentz matrix rounds by ~scale ulp, its residual by
+    ~scale * |m00| ulp (its largest entry).  Python floats: an overflow reads inf, refused."""
+    return DEFAULT_TOL * max(1.0, scale * abs(m00))
 
 
 def validate_lorentz(m: np.ndarray | Iterable[Iterable[float]],
@@ -258,27 +274,24 @@ def add_velocities(v: float, w: float) -> float:
     return (v + w) / (1.0 + v * w)
 
 
-def _boost_terms(chi: Rapidity) -> tuple[float, float, float]:
-    """cosh chi, sinh chi and a boost's tolerance DEFAULT_TOL * max(1, cosh^2 chi).
-
-    Its rounding grows with cosh^2.  RangeError where cosh^2 overflows (|chi| >
-    ~355.3): an inf tolerance would accept any residual.  nan and inf pass through."""
+def _boost_terms(chi: Rapidity) -> tuple[float, float]:
+    """cosh and sinh chi; RangeError naming a finite chi whose cosh^2 overflows (~355.3)."""
     try:
         ch, sh = math.cosh(chi), math.sinh(chi)
     except OverflowError:
         ch = sh = math.inf
     if math.isfinite(chi) and not math.isfinite(ch * ch):
         raise RangeError(f"rapidity {chi!r} is out of range: cosh^2 overflows a double")
-    return ch, sh, DEFAULT_TOL * max(1.0, ch * ch)
+    return ch, sh
 
 
 def boost_x(chi: Rapidity) -> LorentzMatrix:
     """Standard boost with rapidity chi along the x1 axis."""
-    ch, sh, tol = _boost_terms(chi)
+    ch, sh = _boost_terms(chi)
     m = np.eye(4)
     m[0, 0] = m[1, 1] = ch
     m[0, 1] = m[1, 0] = -sh
-    return LorentzMatrix(m, tol)
+    return LorentzMatrix(m, _tolerance(ch, ch))
 
 
 def _unit_axis(n: Iterable[float]) -> np.ndarray:
@@ -307,25 +320,24 @@ def boost_axis(n: Iterable[float], chi: Rapidity) -> LorentzMatrix:
     block is delta_ij + (cosh chi - 1) n_i n_j.
     """
     n = _unit_axis(n)
-    ch, sh, tol = _boost_terms(chi)
+    ch, sh = _boost_terms(chi)
     m = np.empty((4, 4))
     m[0, 0] = ch
     m[0, 1:] = m[1:, 0] = -sh * n
     m[1:, 1:] = np.eye(3) + (ch - 1.0) * np.outer(n, n)
-    return LorentzMatrix(m, tol)
+    return LorentzMatrix(m, _tolerance(ch, ch))
 
 
-def _are_rotations(r: np.ndarray, tol: float) -> list[bool]:
-    """For each 3x3 matrix of the stack ``r`` (shape (k, 3, 3)): orthogonal
-    within ``tol`` (max-norm), and det > 0 by the triple product."""
-    orthogonal = (np.abs(r.transpose(0, 2, 1) @ r - _I3).max(axis=(1, 2)) <= tol).tolist()
-    return [ok and _triple(*rows) > 0 for ok, rows in zip(orthogonal, r.reshape(-1, 9).tolist())]
+def _is_rotation(r: np.ndarray, tol: float) -> bool:
+    """3x3, orthogonal within ``tol`` (max-norm), and det > 0 by the triple product."""
+    return (r.shape == (3, 3) and float(np.abs(r.T @ r - _I3).max()) <= tol
+            and _triple(*r.ravel().tolist()) > 0)
 
 
 def rotation_embed(r: np.ndarray) -> LorentzMatrix:
     """Embed a 3x3 rotation as a spatial Lorentz transformation."""
     r = np.asarray(r, dtype=float)
-    if r.shape != (3, 3) or not _are_rotations(r[None], 1e-9)[0]:
+    if not _is_rotation(r, DEFAULT_TOL):
         raise RangeError("expected a 3x3 rotation matrix with det +1")
     m = np.eye(4)
     m[1:, 1:] = r

@@ -16,11 +16,10 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import NotHermitian, PrecisionLimit, RangeError, WrongComponent
-from .minkowski import (ComponentLabel, FourVector, LorentzMatrix, _unit_axis,
-                        classify_component, validate_lorentz)
+from .errors import NotHermitian, NotLorentz, PrecisionLimit, RangeError, WrongComponent
+from .minkowski import (DEFAULT_TOL, ComponentLabel, FourVector, LorentzMatrix, _tolerance,
+                        _unit_axis, classify_component)
 
-_DET_TOL = 1e-9
 # Round-trip tolerance of the spinor lift (acceptance criterion 2).
 _LIFT_TOL = 1e-8
 _HERMITIAN_TOL = 1e-12
@@ -70,8 +69,8 @@ class _Unimodular:
         scalar = self._scalar
         a, b, c, d = scalar(self.a), scalar(self.b), scalar(self.c), scalar(self.d)
         det = a * d - b * c
-        if not abs(det - 1.0) <= _DET_TOL:  # also refuses nan
-            raise RangeError(f"determinant {det} is not 1 within {_DET_TOL}")
+        if not abs(det - 1.0) <= DEFAULT_TOL:  # also refuses nan
+            raise RangeError(f"determinant {det} is not 1 within {DEFAULT_TOL}")
         self.__dict__.update(a=a, b=b, c=c, d=d)
 
     @property
@@ -196,11 +195,13 @@ def sl2c_to_lorentz(s: SL2CElement) -> LorentzMatrix:
     Column mu holds the tau-basis components of s tau_mu s-dagger; entries
     are quadratic in (a, b, c, d), so s and -s give the same matrix.
     """
+    # The sums below are at most lam_00 = |s|_F^2 / 2: refuse its overflow before numpy warns.
+    lam00 = sum(0.5 * (x.real * x.real + x.imag * x.imag) for x in (s.a, s.b, s.c, s.d))
+    if not math.isfinite(lam00):
+        raise NotLorentz(math.inf, "matrix has non-finite entries")
     m = s.matrix
     out = (_COVER @ np.multiply.outer(m, m.conj()).ravel()).real.reshape(4, 4)
-    # residual of the quadratic map grows with the squared output scale
-    scale = float(np.abs(out).max())
-    return validate_lorentz(out, tol=1e-9 * max(1.0, scale * scale))
+    return LorentzMatrix(out, _tolerance(lam00, lam00))
 
 
 def su2_to_so3(u: SU2Element) -> np.ndarray:

@@ -14,8 +14,8 @@ from lorentzsky import (FourVector, HermitianSlot, LorentzMatrix, MoebiusTransfo
                         inverse_stereo, rotation_about_axis, rotation_embed, sl2c_to_lorentz,
                         sphere_metric_factor, stereo_project, su2_from_axis_angle,
                         validate_lorentz, velocity_from_rapidity)
-from lorentzsky.celestial import BondiPoint
-from lorentzsky.errors import LorentzSkyError, NotHermitian, NotOnSphere, RangeError
+from lorentzsky.celestial import BondiPoint, act_exact
+from lorentzsky.errors import LorentzSkyError, NotHermitian, NotLorentz, NotOnSphere, RangeError
 
 Q = SpherePoint.from_complex(0.0)
 
@@ -64,6 +64,12 @@ SITES = {
     # the squared entry scale that sets these tolerances overflows to inf
     "lorentz_tolerance_inf_cover": lambda: sl2c_to_lorentz(SL2CElement(1e78, 0, 0, 1e-78)),
     "lorentz_tolerance_inf_product": lambda: boost_x(300.0) @ boost_x(300.0),
+    # products that overflow a double: the package error, with no numpy warning first
+    "lorentz_non_finite_cover": lambda: sl2c_to_lorentz(SL2CElement(1e160, 0, 0, 1e-160)),
+    "lorentz_residual_overflow": lambda: validate_lorentz(np.diag([1e200, 1.0, 1.0, 1.0])),
+    "lorentz_product_overflow": lambda: boost_x(355.4) @ boost_x(355.4),
+    "act_exact_overflow": lambda: act_exact(sl2c_to_lorentz(MoebiusTransform.dilation(20.0).s),
+                                            BondiPoint(0.0, 1e300, Q)),
     "rotation_angle_inf": lambda: rotation_about_axis((0.0, 0.0, 1.0), math.inf),
     "su2_angle_inf": lambda: su2_from_axis_angle((0.0, 0.0, 1.0), math.inf),
     "su2_angle_nan": lambda: su2_from_axis_angle((0.0, 0.0, 1.0), math.nan),
@@ -87,6 +93,9 @@ SITES = {
 # the sites whose check raises the error its other inputs already raise, not a RangeError
 NOT_RANGE_ERRORS = {
     "hermitian_nan": NotHermitian,
+    "lorentz_non_finite_cover": NotLorentz,
+    "lorentz_residual_overflow": NotLorentz,
+    "lorentz_product_overflow": NotLorentz,
     "inverse_stereo_radius_nan": NotOnSphere,
     "inverse_stereo_radius_inf": NotOnSphere,
     "stereo_project_radius_inf": NotOnSphere,

@@ -209,6 +209,26 @@ def test_large_rapidity_constructs_and_composes():
     assert b.entries[0, 0] == pytest.approx(math.cosh(12.0), rel=1e-15)
     chained = boost_x(10.0) @ boost_x(10.0)
     assert chained.entries[0, 0] == pytest.approx(math.cosh(20.0), rel=1e-12)
+    # a product's tolerance follows its rounding, ~a00 * b00 * |p00| ulp: two chi = 5
+    # boosts leave a residual of ~6.5e-9, and the |det| check keeps its meaning
+    two = boost_x(5.0) @ boost_axis((0.0, 0.6, 0.8), 5.0)
+    assert two.residual <= two.tol < 1.0
+    assert (two @ two).tol < 1e6
+    # A A^-1 = I still validates: its factors' residuals, carried through, bound its own
+    c = boost_axis((0.6, 0.0, 0.8), 15.0)
+    assert np.abs((c @ c.inverse()).entries - np.eye(4)).max() < 1e-3
+
+
+def test_product_carries_a_loosely_validated_factors_residual():
+    m = boost_x(1.0).entries.copy()
+    m[3, 3] += 1e-7
+    loose = LorentzMatrix(m, 1e-6)
+    # a boost along z stretches loose's z-z defect by ~cosh^2 3: a residual of ~2e-5
+    for product in (loose @ rotation_embed(rotation_about_axis((1.0, 0.0, 0.0), 0.7)),
+                    boost_x(0.5) @ loose, loose @ boost_axis((0.0, 0.0, 1.0), 3.0)):
+        assert product.tol >= loose.tol
+        assert product.residual > DEFAULT_TOL
+    assert (boost_x(0.5) @ loose).tol == loose.tol
 
 
 @pytest.mark.parametrize("chi", [711.0, -711.0, 800.0, -800.0, 1e308, 356.0, -356.0, 400.0,
