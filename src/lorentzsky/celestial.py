@@ -17,7 +17,7 @@ import numpy as np
 from .errors import NotNull, NotOrthochronous, OriginDirectionUndefined, RangeError
 from .minkowski import (FourVector, LorentzMatrix, Rapidity, _matmul, _require_finite,
                         interval_squared)
-from .sphere import MoebiusTransform, SpherePoint, inverse_stereo, stereo_project
+from .sphere import MoebiusTransform, SpherePoint, _affine_pair, inverse_stereo, stereo_project
 from .spin import SL2CElement
 
 _NULL_TOL = 1e-9
@@ -86,10 +86,21 @@ class AsymptoticAction:
     moebius: MoebiusTransform
 
     def radial_factor(self, z: complex) -> float:
-        """F(z) = (|a z + b|^2 + |c z + d|^2) / (1 + z conj(z)); r' ~ r F."""
+        """F(z) = (|a z + b|^2 + |c z + d|^2) / (1 + z conj(z)); r' ~ r F.
+
+        Read as (|a p + b q|^2 + |c p + d q|^2) / (|p|^2 + |q|^2) on the pair (p, q) that
+        :meth:`SpherePoint.from_complex` takes: F(inf) = |a|^2 + |c|^2.  RangeError if not finite.
+        """
+        p, q = _affine_pair(z)
         s = self.moebius.s
-        zz = (z * z.conjugate()).real
-        return (abs(s.a * z + s.b) ** 2 + abs(s.c * z + s.d) ** 2) / (1.0 + zz)
+        try:
+            f = ((abs(s.a * p + s.b * q) ** 2 + abs(s.c * p + s.d * q) ** 2)
+                 / ((p * p.conjugate()).real + (q * q.conjugate()).real))
+        except OverflowError:   # a square past DBL_MAX
+            f = math.inf
+        if not math.isfinite(f):
+            raise RangeError(f"radial factor at z = {z!r} is not finite")
+        return f
 
     def time_factor(self, z: complex) -> float:
         """Advanced-time rescaling u' ~ u / F(z).

@@ -35,8 +35,8 @@ class StandardDecomposition:
                 raise RangeError(f"{name} must be a 3x3 rotation with det +1")
             r.setflags(write=False)
             object.__setattr__(self, name, r)
-        if self.chi < 0:
-            raise RangeError("chi must be non-negative")
+        if not 0.0 <= self.chi < math.inf:
+            raise RangeError(f"chi must be non-negative and finite, got {self.chi!r}")
 
 
 def _cross(a: Sequence[float], b: Sequence[float]) -> list[float]:

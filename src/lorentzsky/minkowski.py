@@ -141,7 +141,8 @@ class LorentzMatrix:
         object.__setattr__(self, "residual", residual)
 
     def apply(self, x: FourVector) -> FourVector:
-        return FourVector(*(self.entries @ x.as_array()).tolist())
+        v = x.x0, x.x1, x.x2, x.x3
+        return FourVector(*_matmul(self.entries, np.array(v), sum(map(abs, v))).tolist())
 
     def inverse(self) -> "LorentzMatrix":
         # eta M^T eta, the exact inverse of a metric-preserving matrix: eta_i M_ji eta_j.
@@ -330,8 +331,9 @@ def boost_axis(n: Iterable[float], chi: Rapidity) -> LorentzMatrix:
 
 def _is_rotation(r: np.ndarray, tol: float) -> bool:
     """3x3, orthogonal within ``tol`` (max-norm), and det > 0 by the triple product."""
-    return (r.shape == (3, 3) and float(np.abs(r.T @ r - _I3).max()) <= tol
-            and _triple(*r.ravel().tolist()) > 0)
+    flat = r.ravel().tolist()   # r^T's entries, r's, are below 1e154 where their |sum| is
+    return (r.shape == (3, 3) and _triple(*flat) > 0
+            and float(np.abs(_matmul(r.T, r, sum(map(abs, flat))) - _I3).max()) <= tol)
 
 
 def rotation_embed(r: np.ndarray) -> LorentzMatrix:

@@ -41,6 +41,17 @@ class PolarAngles:
             raise RangeError(f"phi = {self.phi} outside [0, 2 pi)")
 
 
+def _affine_pair(z: complex) -> tuple[complex, complex]:
+    """(z, 1), past |z| = 1 (1, 1/z) so that no |z|^2 overflows, and (1, 0) at infinity.
+    A part above 1 decides before abs(z), which overflows near the double limit."""
+    z = complex(z)
+    if cmath.isinf(z):
+        return 1.0, 0.0
+    if abs(z.real) > 1.0 or abs(z.imag) > 1.0 or abs(z) > 1.0:
+        return 1.0, 1.0 / z
+    return z, 1.0
+
+
 @dataclass(frozen=True)
 class SpherePoint:
     """Homogeneous pair (z1 : z2), stored with |z1|^2 + |z2|^2 = 1."""
@@ -62,14 +73,7 @@ class SpherePoint:
 
     @classmethod
     def from_complex(cls, z: complex) -> "SpherePoint":
-        z = complex(z)
-        if cmath.isinf(z):
-            return cls.infinity()
-        # Scale before normalizing so huge |z| cannot overflow |z|^2.  A part
-        # above 1 decides before abs(z), which overflows near the double limit.
-        if abs(z.real) > 1.0 or abs(z.imag) > 1.0 or abs(z) > 1.0:
-            return cls(1.0, 1.0 / z)
-        return cls(z, 1.0)
+        return cls(*_affine_pair(z))
 
     @classmethod
     def infinity(cls) -> "SpherePoint":

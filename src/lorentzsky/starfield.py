@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -31,6 +32,7 @@ from .sphere import _NORM_SKIP
 _HEADER = ["name", "ra_deg", "dec_deg", "vmag", "temp_k"]
 _DEFAULT_TEMP_K = 5778.0
 _READ = 1 << 18   # characters of catalog text read and parsed together
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")   # a byte that is not UTF-8, as surrogateescape reads it
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,9 +109,10 @@ def load_catalog(source: str | Path | IO[str]) -> Catalog:
 
     The temp_k column may be omitted (default 5778).  Malformed rows raise
     :class:`ParseError` with the offending line number; out-of-range values
-    raise :class:`RangeError`.  Either error names the first bad line.  A file
-    given by path that is not UTF-8 raises ParseError naming the line of its
-    first invalid byte; a stream lets its UnicodeDecodeError out.
+    raise :class:`RangeError`.  Either error names the first bad line.  A byte
+    that is not UTF-8, in a file given by path or as U+DC80 + byte in a stream
+    (errors="surrogateescape"), raises ParseError naming its line; a stream
+    whose decoder raises lets its UnicodeDecodeError out.
 
     The body is read _READ characters at a time, cut after the last newline;
     plain pieces (see :func:`_plain_piece`) are parsed from their UTF-8 bytes.
@@ -120,12 +123,9 @@ def load_catalog(source: str | Path | IO[str]) -> Catalog:
     lines at "\n" (newline None, "" or "\n"), as csv.reader needs.
     """
     if isinstance(source, (str, Path)):
-        try:
-            with open(source, "r", encoding="utf-8", newline="") as fh:
-                return load_catalog(fh)
-        except UnicodeDecodeError:
-            return load_catalog(_TextBefore(Path(source).read_bytes()))
-    reader = csv.reader(source)
+        with open(source, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+            return load_catalog(fh)
+    reader = csv.reader(_numbered(source, 0))
     offset = 0   # physical lines read before reader's first
     names, blocks = [], []   # blocks: (4, rows) values, range-checked
     try:
@@ -145,7 +145,7 @@ def load_catalog(source: str | Path | IO[str]) -> Catalog:
                 # reads (newline None or "") ends lines at "\r" and "\r\n" too.
                 newline = "" if getattr(source, "newlines", None) else "\n"
                 lines = io.StringIO(text + source.readline(), newline=newline)
-                reader = csv.reader(chain(lines, source))
+                reader = csv.reader(_numbered(chain(lines, source), offset))
                 piece = _parse_rows(reader, offset, len(header))
                 names += piece[0]
                 blocks.append(piece[1])
@@ -160,47 +160,20 @@ def load_catalog(source: str | Path | IO[str]) -> Catalog:
     return Catalog(names, *np.concatenate([np.empty((4, 0)), *blocks], axis=1))
 
 
-class _TextBefore(io.StringIO):
-    """The text of a file before the line holding its first byte that is not UTF-8.
-
-    Reading or iterating on from its end raises ParseError naming that physical
-    line (line ends counted as open(..., newline="") counts them: LF, CRLF and a
-    lone CR), so the parser meets any error on an earlier line first.  readline()
-    returns "" there, so the csv fallback still parses the text it was handed.
-    """
-
-    def __init__(self, data: bytes):
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            head = data[:exc.start]
-        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
-        start = max(head.rfind(b"\n"), head.rfind(b"\r")) + 1
-        super().__init__(head[:start].decode("utf-8"), newline="")
-        self._error = ParseError(line, f"not UTF-8: byte 0x{data[len(head)]:02x}")
-
-    def read(self, size: int | None = -1) -> str:
-        if text := super().read(size):
-            return text
-        raise self._error
-
-    def __next__(self) -> str:
-        if line := self.readline():
-            return line
-        raise self._error
-
-
 def _plain_piece(text: str, n_cols: int) -> tuple[list[str], np.ndarray] | None:
     """Names and (4, lines) values of plain lines, else None.
 
-    Plain lines need no csv rule: no quote, CR or NUL, n_cols - 1 commas and a
-    newline each (so no blank line; the last line may lack its newline), none
-    over the csv field limit, a name and numbers float() reads.
+    Plain lines need no csv rule: no quote, CR, NUL or lone surrogate (such as
+    a byte that is not UTF-8), n_cols - 1 commas and a newline each (so no
+    blank line; the last line may lack its newline), none over the csv field
+    limit, a name and numbers float() reads.
     """
     if '"' in text or "\r" in text or "\0" in text:
         return None
-    data = np.frombuffer((text if text.endswith("\n") else text + "\n")
-                         .encode("utf-8", "surrogatepass"), np.uint8)
+    try:
+        data = np.frombuffer((text if text.endswith("\n") else text + "\n").encode(), np.uint8)
+    except UnicodeEncodeError:
+        return None
     seps = np.flatnonzero((data == ord(",")) | (data == ord("\n")))
     if len(seps) % n_cols:
         return None
@@ -213,8 +186,7 @@ def _plain_piece(text: str, n_cols: int) -> tuple[list[str], np.ndarray] | None:
     first = np.concatenate(([0], ends[:-1] + 1))
     span = seps[:, 0] + 1 - first
     at = np.repeat(first - np.cumsum(span) + span, span) + np.arange(span.sum())
-    names = list(map(str.strip, data[at].tobytes().decode("utf-8", "surrogatepass")
-                     .split(",")[:-1]))
+    names = list(map(str.strip, data[at].tobytes().decode().split(",")[:-1]))
     if not all(names):
         return None
     values = np.full((4, len(names)), _DEFAULT_TEMP_K)
@@ -224,6 +196,14 @@ def _plain_piece(text: str, n_cols: int) -> tuple[list[str], np.ndarray] | None:
     except ValueError:
         return None
     return names, values
+
+
+def _numbered(lines, before: int):
+    """lines, numbered from before + 1: ParseError at the first with a byte that is not UTF-8."""
+    for line, text in enumerate(lines, before + 1):
+        if byte := _NOT_UTF8.search(text):
+            raise ParseError(line, f"not UTF-8: byte 0x{ord(byte[0]) - 0xDC00:02x}")
+        yield text
 
 
 def _parse_rows(reader, offset: int, n_cols: int) -> tuple[list[str], np.ndarray]:

@@ -104,6 +104,12 @@ def test_asymptotic_action_boost_example():
     assert act.moebius.apply_complex(0.0) == 0.0
     assert act.radial_factor(0.0 + 0j) == pytest.approx(math.exp(chi))
     assert act.time_factor(0.0 + 0j) == pytest.approx(math.exp(-chi))
+    # toward the point at infinity F tends to |a|^2 + |c|^2, and reaches it there
+    for z in (complex(math.inf, 0.0), 1e200 + 0j):
+        assert act.radial_factor(z) == pytest.approx(math.exp(-chi))
+        assert act.time_factor(z) == pytest.approx(math.exp(chi))
+    act = act_asymptotic(SL2CElement(2.0, 1.0, 1.0, 1.0))
+    assert act.radial_factor(complex(math.inf, 0.0)) == act.radial_factor(1e160 + 0j) == 5.0
 
 
 def test_asymptotic_action_translation_type():

@@ -247,8 +247,6 @@ def outcome(fn):
         return type(exc), str(exc)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 def test_act_exact_is_bitwise_the_composed_maps(rng):
     directions = [SpherePoint.infinity(), SpherePoint(0.0, 1.0), SpherePoint(1.0, 1.0)]
     for i in range(2000):

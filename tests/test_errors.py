@@ -14,7 +14,7 @@ from lorentzsky import (FourVector, HermitianSlot, LorentzMatrix, MoebiusTransfo
                         inverse_stereo, rotation_about_axis, rotation_embed, sl2c_to_lorentz,
                         sphere_metric_factor, stereo_project, su2_from_axis_angle,
                         validate_lorentz, velocity_from_rapidity)
-from lorentzsky.celestial import BondiPoint, act_exact
+from lorentzsky.celestial import BondiPoint, act_asymptotic, act_exact
 from lorentzsky.errors import LorentzSkyError, NotHermitian, NotLorentz, NotOnSphere, RangeError
 
 Q = SpherePoint.from_complex(0.0)
@@ -36,6 +36,8 @@ SITES = {
     "decomposition_nan_rotation": lambda: StandardDecomposition(np.full((3, 3), math.nan),
                                                                 0.3, np.eye(3)),
     "decomposition_negative_chi": lambda: StandardDecomposition(np.eye(3), -0.1, np.eye(3)),
+    "decomposition_nan_chi": lambda: StandardDecomposition(np.eye(3), math.nan, np.eye(3)),
+    "decomposition_inf_chi": lambda: StandardDecomposition(np.eye(3), math.inf, np.eye(3)),
     "rotation_embed_reflection": lambda: rotation_embed(np.diag([1.0, 1.0, -1.0])),
     "rotation_embed_scaled": lambda: rotation_embed(2 * np.eye(3)),
     "aberrate_theta": lambda: aberrate(1.0, -0.1),
@@ -70,6 +72,14 @@ SITES = {
     "lorentz_product_overflow": lambda: boost_x(355.4) @ boost_x(355.4),
     "act_exact_overflow": lambda: act_exact(sl2c_to_lorentz(MoebiusTransform.dilation(20.0).s),
                                             BondiPoint(0.0, 1e300, Q)),
+    "lorentz_apply_overflow": lambda: boost_x(20.0).apply(FourVector(1e300, -1e300, 0, 0)),
+    "rotation_embed_overflow": lambda: rotation_embed(1e200 * np.eye(3)),
+    "decomposition_rotation_overflow": lambda: StandardDecomposition(1e200 * np.eye(3),
+                                                                     0.3, np.eye(3)),
+    "radial_factor_nan": lambda: act_asymptotic(SL2CElement(2.0, 1.0, 1.0, 1.0))
+                                 .radial_factor(complex(math.nan, 0.0)),
+    "radial_factor_overflow": lambda: act_asymptotic(SL2CElement(1e160, 0.0, 0.0, 1e-160))
+                                      .radial_factor(1.0),
     "rotation_angle_inf": lambda: rotation_about_axis((0.0, 0.0, 1.0), math.inf),
     "su2_angle_inf": lambda: su2_from_axis_angle((0.0, 0.0, 1.0), math.inf),
     "su2_angle_nan": lambda: su2_from_axis_angle((0.0, 0.0, 1.0), math.nan),

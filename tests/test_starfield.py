@@ -155,6 +155,16 @@ def test_a_file_that_is_not_utf8_names_its_line(tmp_path, data, error, message):
         load_catalog(fh)
 
 
+@pytest.mark.parametrize("data, error, message", NOT_UTF8.values(), ids=NOT_UTF8)
+def test_a_surrogateescape_stream_gets_the_paths_error(tmp_path, data, error, message):
+    path = tmp_path / "stars.csv"
+    path.write_bytes(data)
+    with (open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh,
+          pytest.raises(error) as exc_info):
+        load_catalog(fh)
+    assert str(exc_info.value) == message
+
+
 def test_chi_zero_is_identity():
     stars = _catalog(("A", 10.0, 20.0, 3.0, 6000.0), ("B", 200.0, -45.0, 5.5, 11000.0))
     sky = transform_catalog(stars, 0.0)
