@@ -13,8 +13,8 @@ from .celestial import (AsymptoticAction, BondiPoint, Photon4Momentum,
 from .decompose import StandardDecomposition, rapidity_of, recompose, standard_decompose
 from .errors import (BadAxis, InfinityPoint, LorentzSkyError, NotHermitian,
                      NotLorentz, NotNull, NotOnSphere, NotOrthochronous,
-                     OriginDirectionUndefined, ParseError, PrecisionLimit,
-                     RangeError, SpeedLimit, WrongComponent)
+                     OriginDirectionUndefined, ParseError, RangeError,
+                     SpeedLimit, WrongComponent)
 from .minkowski import (ComponentLabel, FourVector, LorentzMatrix, METRIC,
                         PoincareTransform, Rapidity, add_velocities,
                         boost_axis, boost_x, classify_component, gamma,

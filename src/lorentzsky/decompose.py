@@ -60,6 +60,23 @@ def _frame_taking_e1_to(n: list[float]) -> tuple[list[float], ...]:
     return n, c1, _cross(n, c1)
 
 
+def _factors(lam: LorentzMatrix) -> tuple[tuple[list[float], ...], float, list[list[float]]]:
+    """r1's columns (n, u, v), chi and r2's rows (f1, f2, f3) as floats: standard_decompose."""
+    flat = lam.entries.ravel().tolist()
+    norm_a = math.hypot(*flat[4:13:4])  # |a|, a = -lam[1:, 0] = -flat[4:13:4]
+    if norm_a <= _PURE_ROTATION_THRESHOLD:
+        r1_cols, chi = ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]), 0.0
+    else:
+        r1_cols, chi = _frame_taking_e1_to([-x / norm_a for x in flat[4:13:4]]), math.asinh(norm_a)
+    # rows 0 and 1 of r1^T lam[1:, 1:], column j of lam[1:, 1:] being flat[5 + j::4]
+    row0, row1 = ([c[0] * flat[5 + j] + c[1] * flat[9 + j] + c[2] * flat[13 + j] for j in range(3)]
+                  for c in r1_cols[:2])
+    f1 = _unit(row0)
+    dot = row1[0] * f1[0] + row1[1] * f1[1] + row1[2] * f1[2]
+    f2 = _unit([x - dot * y for x, y in zip(row1, f1)])
+    return r1_cols, chi, [f1, f2, _cross(f1, f2)]
+
+
 def standard_decompose(lam: LorentzMatrix) -> StandardDecomposition:
     """Factor a proper orthochronous matrix as rotation . boost_x . rotation.
 
@@ -75,19 +92,8 @@ def standard_decompose(lam: LorentzMatrix) -> StandardDecomposition:
     """
     if classify_component(lam) is not ComponentLabel.PROPER_ORTHOCHRONOUS:
         raise WrongComponent("standard decomposition needs a proper orthochronous matrix")
-    a, block_cols = (-lam.entries[1:, 0]).tolist(), lam.entries[1:, 1:].T.tolist()
-    norm_a = math.hypot(*a)
-    if norm_a <= _PURE_ROTATION_THRESHOLD:
-        r1_cols, chi = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)), 0.0
-    else:
-        r1_cols, chi = _frame_taking_e1_to([x / norm_a for x in a]), math.asinh(norm_a)
-    # rows 0 and 1 of r1^T lam[1:, 1:]
-    row0, row1 = ([c[0] * b0 + c[1] * b1 + c[2] * b2 for b0, b1, b2 in block_cols]
-                  for c in r1_cols[:2])
-    f1 = _unit(row0)
-    dot = row1[0] * f1[0] + row1[1] * f1[1] + row1[2] * f1[2]
-    f2 = _unit([x - dot * y for x, y in zip(row1, f1)])
-    return StandardDecomposition(np.array(r1_cols).T, chi, np.array([f1, f2, _cross(f1, f2)]))
+    r1_cols, chi, r2_rows = _factors(lam)
+    return StandardDecomposition(np.array(r1_cols).T, chi, np.array(r2_rows))
 
 
 def recompose(d: StandardDecomposition) -> LorentzMatrix:

@@ -61,7 +61,3 @@ class ParseError(LorentzSkyError):
 class RangeError(LorentzSkyError, ValueError):
     """An input (catalog field, rapidity, image size, element entry) is out of range."""
 
-
-class PrecisionLimit(LorentzSkyError):
-    """Double-precision rounding would exceed the tolerance a result promises."""
-

@@ -203,19 +203,21 @@ def _det(flat: list[float]) -> float:
 def classify_component(lam: LorentzMatrix) -> ComponentLabel:
     """Component from the signs of det and of the 0-0 entry.
 
-    det m = det m[1:, 1:] / m00.  The Schur complement of m00 is m[1:, 1:]^-T,
-    so w = a - m10 m[0, 1:] / m00 (a, b, c the rows of m[1:, 1:]) is its first
-    row, of size ~1, and (b x c) . w = |b x c|^2 / det m[1:, 1:] has the sign of
-    that det to ~cosh(chi) ulp relative: the label holds for rotation . boost .
+    det m = det m[1:, 1:] / m00.  The Schur complement of m00 is m[1:, 1:]^-T; its row i
+    is w = m[i, 1:] - m[i, 0] m[0, 1:] / m00, and with b, c the rows of m[1:, 1:] after i
+    (cyclically), (b x c) . w = |b x c|^2 / det m[1:, 1:].  For the i with the smallest
+    |m[i, 0]|, |w| >= sqrt(2/3) (row 1 of a boost along x1 has w = (1/cosh chi, 0, 0)), so
+    the sign holds to ~cosh(chi) ulp relative: the label holds for rotation . boost .
     rotation products to chi ~ 36, where the entries' own rounding reaches it.
     """
-    (m00, m01, m02, m03, m10, a0, a1, a2, _,
-     b0, b1, b2, _, c0, c1, c2) = lam.entries.ravel().tolist()
-    r = m10 / m00
-    orthochronous = m00 > 0
-    w_bc = _triple(a0 - r * m01, a1 - r * m02, a2 - r * m03, b0, b1, b2, c0, c1, c2)
-    proper = (w_bc > 0) == orthochronous
-    if proper:
+    flat = lam.entries.ravel().tolist()
+    x, y, z = abs(flat[4]), abs(flat[8]), abs(flat[12])
+    i = 4 if x <= y and x <= z else 8 if y <= z else 12  # row i of m starts at flat[i]
+    j, k, r = 4 + i % 12, 4 + (i + 4) % 12, flat[i] / flat[0]
+    orthochronous = flat[0] > 0
+    w_bc = _triple(flat[i + 1] - r * flat[1], flat[i + 2] - r * flat[2], flat[i + 3] - r * flat[3],
+                   flat[j + 1], flat[j + 2], flat[j + 3], flat[k + 1], flat[k + 2], flat[k + 3])
+    if (w_bc > 0) == orthochronous:  # proper
         return (ComponentLabel.PROPER_ORTHOCHRONOUS if orthochronous
                 else ComponentLabel.PROPER_ANTICHRONOUS)
     return (ComponentLabel.IMPROPER_ORTHOCHRONOUS if orthochronous

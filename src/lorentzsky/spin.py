@@ -16,12 +16,11 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import NotHermitian, NotLorentz, PrecisionLimit, RangeError, WrongComponent
+from .decompose import _factors
+from .errors import NotHermitian, NotLorentz, RangeError, WrongComponent
 from .minkowski import (DEFAULT_TOL, ComponentLabel, FourVector, LorentzMatrix, _tolerance,
                         _unit_axis, classify_component)
 
-# Round-trip tolerance of the spinor lift (acceptance criterion 2).
-_LIFT_TOL = 1e-8
 _HERMITIAN_TOL = 1e-12
 _SU2_NORM_TOL = 1e-10
 
@@ -45,9 +44,7 @@ _COVER = _adjoint_form(TAU)
 _SO3_COVER = _adjoint_form(_PAULI)
 # The sl2r cover lowers the first index with diag(-1, 1, 1).
 _SO21_COVER = np.repeat([-1.0, 1.0, 1.0], 3)[:, None] * _adjoint_form(_SL2R_GEN)
-# sum_{mu nu} lam_{mu nu} tau_mu tau_k tau_nu, as a 16 x 16 matrix acting on lam.ravel().
-_LIFT = np.einsum("mab,kbc,ncd->kadmn", TAU, TAU, TAU).reshape(16, 16)
-for _const in (TAU, _PAULI, _SL2R_GEN, _COVER, _SO3_COVER, _SO21_COVER, _LIFT):
+for _const in (TAU, _PAULI, _SL2R_GEN, _COVER, _SO3_COVER, _SO21_COVER):
     _const.setflags(write=False)
 
 
@@ -68,9 +65,10 @@ class _Unimodular:
     def __post_init__(self):
         scalar = self._scalar
         a, b, c, d = scalar(self.a), scalar(self.b), scalar(self.c), scalar(self.d)
-        det = a * d - b * c
-        if not abs(det - 1.0) <= DEFAULT_TOL:  # also refuses nan
-            raise RangeError(f"determinant {det} is not 1 within {DEFAULT_TOL}")
+        ad, bc = a * d, b * c  # each rounds by ~ulp of its size; "not" refuses nan and inf
+        tol = DEFAULT_TOL * max(1.0, abs(ad) + abs(bc))
+        if not abs(ad - bc - 1.0) <= tol < math.inf:
+            raise RangeError(f"determinant {ad - bc} is not 1 within {tol:.3e}")
         self.__dict__.update(a=a, b=b, c=c, d=d)
 
     @property
@@ -228,43 +226,48 @@ def su2_from_axis_angle(n: Iterable[float], phi: float) -> SU2Element:
     return SU2Element(complex(c, -n[2] * s), complex(-n[1] * s, -n[0] * s))
 
 
-def _canonical_sign(s: SL2CElement) -> SL2CElement:
-    """Pick the representative of {s, -s} whose first significant entry has
+def _canonical_sign(a: complex, b: complex, c: complex, d: complex) -> SL2CElement:
+    """The one of s = ((a, b), (c, d)) and -s whose first significant entry has
     positive real part, breaking near-imaginary ties by positive imaginary part."""
-    entries = (s.a, s.b, s.c, s.d)
-    scale = max(abs(e) for e in entries)
-    for e in entries:
-        if abs(e) <= 1e-12 * scale:
-            continue
-        if abs(e.real) > 1e-12 * abs(e):
-            return s if e.real > 0 else -s
-        return s if e.imag > 0 else -s
-    return s  # pragma: no cover
+    scale = max(abs(a), abs(b), abs(c), abs(d))
+    for e in (a, b, c, d):
+        if abs(e) > 1e-12 * scale:
+            positive = e.real > 0 if abs(e.real) > 1e-12 * abs(e) else e.imag > 0
+            return SL2CElement(a, b, c, d) if positive else SL2CElement(-a, -b, -c, -d)
+    return SL2CElement(a, b, c, d)  # pragma: no cover
+
+
+def _rotation_cover(r) -> tuple[complex, complex, complex, complex]:
+    """(a, b, c, d) covering the rotation with rows ``r``.  Shepperd: the row of 4 q q^T (linear
+    in r) with the largest diagonal 4 q_k^2 >= 1, over 2 sqrt(4 q_k^2), is the quaternion q =
+    (w, x, y, z); the tau basis flips x1, so the cover is w I - i(x s1 - y s2 - z s3)."""
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r
+    diag = (1.0 + r00 + r11 + r22, 1.0 + r00 - r11 - r22,
+            1.0 - r00 + r11 - r22, 1.0 - r00 - r11 + r22)
+    k = diag.index(max(diag))
+    row = ((diag[0], r21 - r12, r02 - r20, r10 - r01),
+           (r21 - r12, diag[1], r01 + r10, r02 + r20),
+           (r02 - r20, r01 + r10, diag[2], r12 + r21),
+           (r10 - r01, r02 + r20, r12 + r21, diag[3]))[k]
+    scale = 0.5 / math.sqrt(diag[k])
+    w, x, y, z = [e * scale for e in row]
+    return complex(w, z), complex(y, -x), complex(-y, -x), complex(w, -z)
 
 
 def lift_lorentz_to_sl2c(lam: LorentzMatrix) -> SL2CElement:
-    """One of the two preimages of a proper orthochronous matrix under the cover.
+    """Of the two preimages +-s of a proper orthochronous matrix, the one of canonical sign.
 
-    Closed form from the identity
-    sum_{mu nu} lam_{mu nu} tau_mu tau_k tau_nu = 2 tr(s-dagger tau_k) s,
-    so each M_k on the left is a multiple of s, and s = M_k / sqrt(det M_k).
-    A single k can fail: the coefficient tr(s-dagger tau_k) vanishes for
-    some s (k = 0 at the half-turn diag(-i, i)).  The four coefficients
-    are the tau-basis components of s, whose squared moduli sum to
-    2 |s|_F^2 >= 4, so the k with the largest |det M_k| = 4 |tr(s-dagger tau_k)|^2
-    has |det M_k| >= 4 and is the best conditioned.  The sign of the result
-    is canonicalized; the other preimage is its negative.
-
-    Rounding puts the lift's image off by about lam_00 * 2^-52 relative;
-    :class:`PrecisionLimit` is raised where that passes _LIFT_TOL, from
-    rapidity ~18.3 on.
+    With Q the cyclic rotation taking e3 to e1, :func:`standard_decompose`'s factors give
+    lam = embed(r1 Q) . B3(chi) . embed(Q^T r2), and D = diag(e^(-chi/2), e^(chi/2)) covers
+    B3, the boost along x3: s = u(r1 Q) . D . u(Q^T r2).  No entry of s is a cancellation,
+    so ad - bc holds to ~ulp of |ad| + |bc| and the image to ~lam_00 ulp at any rapidity.
     """
     if classify_component(lam) is not ComponentLabel.PROPER_ORTHOCHRONOUS:
         raise WrongComponent("only proper orthochronous matrices have a spinor lift")
-    if lam.entries[0, 0] * 2.0 ** -52 > _LIFT_TOL:
-        raise PrecisionLimit(f"lam_00 = {lam.entries[0, 0]:.3e}: the lift would be off by "
-                             f"~lam_00 * 2^-52, beyond its tolerance {_LIFT_TOL}")
-    m = (_LIFT @ lam.entries.ravel()).reshape(4, 2, 2)
-    det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
-    k = int(np.argmax(np.abs(det)))
-    return _canonical_sign(SL2CElement.from_matrix(m[k] / np.sqrt(det[k])))
+    (n, u, v), chi, (f1, f2, f3) = _factors(lam)
+    a1, b1, c1, d1 = _rotation_cover(zip(u, v, n))   # rows of r1 Q, whose columns are u, v, n
+    a2, b2, c2, d2 = _rotation_cover((f2, f3, f1))   # rows of Q^T r2
+    em, ep = math.exp(-0.5 * chi), math.exp(0.5 * chi)
+    a1, b1, c1, d1 = a1 * em, b1 * ep, c1 * em, d1 * ep
+    return _canonical_sign(a1 * a2 + b1 * c2, a1 * b2 + b1 * d2,
+                           c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)

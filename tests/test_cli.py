@@ -108,6 +108,14 @@ def test_mobius_rejects_degenerate_matrix(capsys, monkeypatch):
     assert "determinant" in err
 
 
+def test_mobius_checks_the_determinant_at_the_absolute_tolerance(capsys, monkeypatch):
+    # SL2CElement accepts ad - bc within 1e-9 (|ad| + |bc|), which passes this
+    # singular matrix; JSON input is held to the absolute 1e-9, as matrices are
+    payload = {"a": 4e4, "b": 4e4, "c": 4e4, "d": 4e4, "points": [[0.0, 0.0]]}
+    code, out, err = run(capsys, monkeypatch, ["mobius"], json.dumps(payload))
+    assert (code, out, err) == (1, "", "error: determinant 0j is not 1 within 1e-09\n")
+
+
 def test_mobius_rejects_bad_json(capsys, monkeypatch):
     code, _, err = run(capsys, monkeypatch, ["mobius"], "{not json")
     assert code == 1
@@ -340,6 +348,20 @@ def test_overflowing_matrix_prints_only_the_error_line(command):
     assert done.returncode == 1
     assert done.stdout == ""
     assert done.stderr == "error: metric-preservation residual inf exceeds tolerance\n"
+
+
+@pytest.mark.parametrize("command", ["classify", "decompose", "lift"])
+@pytest.mark.parametrize("axis", [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.6, 0.0, 0.8)])
+def test_group_commands_refuse_boosts_past_the_absolute_tolerance(capsys, monkeypatch,
+                                                                  command, axis):
+    # JSON matrices are validated at the absolute 1e-9: a boost's rounding residual,
+    # ~cosh^2(chi) ulp, passes it from chi ~ 8 on, so refusal starts there
+    code, out, err = run(capsys, monkeypatch, [command], matrix_json(boost_axis(axis, 7.9).entries))
+    assert (code, err) == (0, "")
+    code, out, err = run(capsys, monkeypatch, [command], matrix_json(boost_axis(axis, 10.0).entries))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: metric-preservation residual ")
+    assert err.endswith(" exceeds tolerance\n") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["classify", "decompose", "lift", "mobius"])

@@ -1,8 +1,9 @@
-"""The constant-matrix covers, the 16 x 16 lift, the closed-form recompose and
-the scalar group path, pinned against the constructions they replace.
+"""The constant-matrix covers, the rotation cover of the lift, the closed-form
+recompose and the scalar group path, pinned against the constructions they
+replace.
 
 The reference expressions below are the definitions themselves: the
-adjoint action read off by trace pairing, the four-operand lift identity,
+adjoint action read off by trace pairing, the rotation a cover element maps to,
 the product of three validated Lorentz matrices, the Lorentz-matrix check
 with the 4 x 4 determinant, the component read from the unscaled triple
 product (or known by construction), and the exact action composed from the
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from lorentzsky import (BondiPoint, ComponentLabel, FourVector, LorentzMatrix,
-                        SL2RElement, SpherePoint, StandardDecomposition, act_exact,
+                        SL2CElement, SL2RElement, SpherePoint, StandardDecomposition, act_exact,
                         bondi_from_inertial, boost_axis, boost_x, classify_component,
                         inertial_from_bondi, parity, recompose, rotation_embed,
                         sl2c_to_lorentz, sl2r_to_so21, su2_to_so3, time_reversal)
@@ -23,7 +24,7 @@ from lorentzsky.errors import LorentzSkyError, NotLorentz
 from lorentzsky.minkowski import DEFAULT_TOL, METRIC
 from lorentzsky.sampling import (random_proper_orthochronous, random_rotation,
                                  random_sl2c, random_su2)
-from lorentzsky.spin import _LIFT, _PAULI, _SL2R_GEN, TAU
+from lorentzsky.spin import _PAULI, _SL2R_GEN, TAU, _rotation_cover
 
 N = 500
 ETA3 = np.array([-1.0, 1.0, 1.0])
@@ -42,10 +43,6 @@ def ref_su2_to_so3(m):
 def ref_sl2r_to_so21(m, inv):
     conj = np.einsum("ab,mbc,cd->mad", m, _SL2R_GEN, inv)
     return ETA3[:, None] * (0.5 * np.einsum("nab,mba->nm", _SL2R_GEN, conj))
-
-
-def ref_lift_matrices(lam):
-    return np.einsum("mn,mab,kbc,ncd->kad", lam, TAU, TAU, TAU)
 
 
 def random_sl2r(rng):
@@ -79,11 +76,16 @@ def test_sl2r_cover_matches_trace_pairing(rng):
         assert_close_to_scale(sl2r_to_so21(s), ref_sl2r_to_so21(s.matrix, s.inverse_matrix()))
 
 
-def test_lift_matrix_matches_four_operand_identity(rng):
-    for _ in range(N):
-        lam = random_proper_orthochronous(rng, chi_max=5.0).entries
-        got = (_LIFT @ lam.ravel()).reshape(4, 2, 2)
-        assert_close_to_scale(got, ref_lift_matrices(lam))
+HALF_TURNS = [np.diag([1.0, -1.0, -1.0]), np.diag([-1.0, 1.0, -1.0]), np.diag([-1.0, -1.0, 1.0])]
+
+
+def test_rotation_cover_covers_the_rotation(rng):
+    # Haar rotations, and the half-turns, where Shepperd's quaternion has w = 0
+    for r in [random_rotation(rng) for _ in range(N)] + HALF_TURNS:
+        u = SL2CElement(*_rotation_cover(r.tolist()))
+        want = np.eye(4)
+        want[1:, 1:] = r
+        assert_close_to_scale(ref_sl2c_to_lorentz(u.matrix), want)
 
 
 @pytest.mark.parametrize("chi", [0.0, 1e-9, 1.0, 5.0, 17.0, 30.0])
@@ -209,6 +211,19 @@ def test_component_labels_match_the_unscaled_triple_product(rng):
                 lam = LorentzMatrix(flip @ m, DEFAULT_TOL * math.cosh(34.0) ** 2)
                 want = label if by_construction else ref_component(lam.entries)
                 assert classify_component(lam) is want
+
+
+@pytest.mark.parametrize("axis", range(3))
+def test_axis_boosts_keep_their_label_at_every_integer_rapidity(axis):
+    # the Schur row w is read where |lam[i, 0]| is smallest; a boost along x1
+    # read from row 1 gave w = (1/cosh chi, 0, 0), improper from chi = 19
+    flips = ((np.eye(4), ComponentLabel.PROPER_ORTHOCHRONOUS),
+             (parity().entries, ComponentLabel.IMPROPER_ORTHOCHRONOUS),
+             (time_reversal().entries, ComponentLabel.IMPROPER_ANTICHRONOUS))
+    for chi in range(1, 356):
+        lam = boost_axis(np.eye(3)[axis], float(chi))
+        for flip, label in flips:
+            assert classify_component(LorentzMatrix(flip @ lam.entries, lam.tol)) is label
 
 
 def random_boost(rng, chi):

@@ -7,13 +7,14 @@ import pytest
 
 from lorentzsky import (ComponentLabel, FourVector, HermitianSlot,
                         SL2CElement, SL2RElement, SU2Element,
-                        boost_axis, classify_component,
+                        boost_axis, classify_component, rotation_embed,
+                        standard_decompose,
                         four_vector_from_hermitian, hermitian_from_four_vector,
                         interval_squared, lift_lorentz_to_sl2c, parity,
                         rotation_about_axis, sl2c_to_lorentz, sl2r_to_so21,
                         su2_from_axis_angle, su2_to_so3)
-from lorentzsky.errors import BadAxis, NotHermitian, PrecisionLimit, WrongComponent
-from lorentzsky.sampling import random_sl2c, random_su2
+from lorentzsky.errors import BadAxis, NotHermitian, RangeError, WrongComponent
+from lorentzsky.sampling import random_rotation, random_sl2c, random_su2
 
 LN2 = 0.6931471805599453
 
@@ -163,6 +164,29 @@ def test_sl2c_element_validation():
         SL2CElement(1.0, 0.0, 0.0, 2.0)
     s = SL2CElement(2.0, 0.0, 0.0, 0.5)
     assert np.abs((s @ s.inverse()).matrix - np.eye(2)).max() == 0.0
+
+
+@pytest.mark.parametrize("chi", [17.0, 20.0, 40.0, 354.0])
+def test_determinant_check_scales_with_the_entries(rng, chi):
+    # ad and bc are ~e^chi / 4 each; their difference rounds by ~ulp of that size
+    ch, sh = math.cosh(0.5 * chi), math.sinh(0.5 * chi)
+    SL2CElement(ch, sh, sh, ch)
+    dilation = SL2CElement(math.exp(0.5 * chi), 0.0, 0.0, math.exp(-0.5 * chi))
+    for _ in range(20):
+        u = random_sl2c(rng)
+        s = u @ dilation @ u.inverse()  # every factor exact; refused from chi ~ 20 at 1e-9
+        assert abs((s.a + s.d) / (2.0 * math.cosh(0.5 * chi)) - 1.0) <= 1e-13
+
+
+def test_determinant_check_still_refuses_small_entries(rng):
+    for _ in range(100):
+        m = random_sl2c(rng).matrix * math.sqrt(1.0 + 1e-6)
+        with pytest.raises(RangeError, match="is not 1 within"):
+            SL2CElement.from_matrix(m)
+    with pytest.raises(RangeError):
+        SL2CElement(1e200, 0.0, 0.0, 1e200)  # ad overflows
+    with pytest.raises(RangeError):
+        SL2CElement(math.nan, 0.0, 0.0, 1.0)
 
 
 # --- the 3d rotation cover --------------------------------------------------
@@ -369,11 +393,55 @@ def test_lift_at_rapidity_17_holds_its_tolerance():
     assert err / float(np.abs(lam.entries).max()) <= 1e-8
 
 
+def lift_error(lam):
+    """Max-norm distance from lam to the image of its lift, relative to lam_00."""
+    s = lift_lorentz_to_sl2c(lam)
+    return float(np.abs(sl2c_to_lorentz(s).entries - lam.entries).max()) / lam.entries[0, 0]
+
+
 @pytest.mark.parametrize("chi", [20.0, 30.0])
-def test_lift_refuses_past_double_precision(chi):
-    # unguarded, chi = 30 returned an element whose image was 2.6e-4 off
-    with pytest.raises(PrecisionLimit):
-        lift_lorentz_to_sl2c(boost_axis((0.6, 0.0, 0.8), chi))
+def test_lift_is_accurate_past_rapidity_18(chi):
+    # a lift read off sum lam_mu_nu tau_mu tau_k tau_nu was off by ~lam_00 * 2^-52
+    # relative here (2.6e-4 at chi = 30), so it refused from chi ~ 18.3
+    assert lift_error(boost_axis((0.6, 0.0, 0.8), chi)) <= 1e-14
+
+
+AXES = {"x1": (1.0, 0.0, 0.0), "x2": (0.0, 1.0, 0.0), "x3": (0.0, 0.0, 1.0),
+        "-x3": (0.0, 0.0, -1.0), "oblique": (0.6, 0.0, 0.8)}
+
+
+@pytest.mark.parametrize("chi", [19.0, 100.0, 354.0])
+@pytest.mark.parametrize("axis", ["x1", "x2", "x3"])
+def test_lift_of_axis_boosts_at_large_rapidity(axis, chi):
+    lam = boost_axis(AXES[axis], chi)
+    assert lift_error(lam) <= 1e-14
+    if axis == "x3":
+        s = lift_lorentz_to_sl2c(lam)
+        assert s.matrix.tolist() == [[math.exp(-0.5 * chi), 0.0], [0.0, math.exp(0.5 * chi)]]
+
+
+@pytest.mark.parametrize("axis", AXES)
+def test_group_chain_holds_for_boosts_at_every_integer_rapidity(axis):
+    # axis boosts to the cosh^2 limit; an oblique one to chi = 35, near where the
+    # entries' own rounding reaches the sign classify_component reads (chi ~ 36)
+    for chi in range(1, 36 if axis == "oblique" else 355):
+        lam = boost_axis(AXES[axis], float(chi))
+        assert classify_component(lam) is ComponentLabel.PROPER_ORTHOCHRONOUS
+        assert abs(standard_decompose(lam).chi - chi) <= 1e-12 * chi
+        assert lift_error(lam) <= 1e-14
+
+
+@pytest.mark.parametrize("order", ["rotation-boost", "boost-rotation", "product"])
+def test_lift_of_rotated_boosts_to_rapidity_34(rng, order):
+    # s has an entry of size e^(-chi/2) in a row or column of size e^(chi/2);
+    # building it from boost(n) . rotation made that entry a cancellation, and
+    # ad - bc missed 1 by ~e^chi ulp (refused from chi ~ 17 for rotation . boost)
+    for chi in np.linspace(1.0, 34.0, 100):
+        r1, r2 = rotation_embed(random_rotation(rng)), rotation_embed(random_rotation(rng))
+        boost = boost_axis((0.0, 0.0, 1.0), float(chi))
+        lam = {"rotation-boost": r1 @ boost, "boost-rotation": boost @ r2,
+               "product": r1 @ boost @ r2}[order]
+        assert lift_error(lam) <= 1e-14
 
 
 def test_restriction_to_su2_matches_rotation_cover(rng):
