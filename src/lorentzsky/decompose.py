@@ -73,7 +73,10 @@ def _factors(lam: LorentzMatrix) -> tuple[tuple[list[float], ...], float, list[l
                   for c in r1_cols[:2])
     f1 = _unit(row0)
     dot = row1[0] * f1[0] + row1[1] * f1[1] + row1[2] * f1[2]
-    f2 = _unit([x - dot * y for x, y in zip(row1, f1)])
+    row1 = [x - dot * y for x, y in zip(row1, f1)]
+    if not any(row1):  # past chi ~ 36 row 1 is all rounding, and can be parallel to row 0
+        raise RangeError(f"rapidity {chi!r} is past double precision: r2 is lost to rounding")
+    f2 = _unit(row1)
     return r1_cols, chi, [f1, f2, _cross(f1, f2)]
 
 

@@ -131,9 +131,12 @@ def inverse_stereo(q: SpherePoint, r: float) -> tuple[float, float, float]:
     if not 0 < r < math.inf:
         raise NotOnSphere(f"radius must be positive and finite, got {r!r}")
     w = q.z1 * q.z2.conjugate()
-    return (2.0 * r * w.real,
-            2.0 * r * w.imag,
-            r * (abs(q.z2) ** 2 - abs(q.z1) ** 2))
+    # |w| <= 1/2: r (2 w) is (2 r) w bit for bit, and finite where 2 r is not.  Only a pair
+    # left unnormalized within 1e-14, with |z1| or |z2| above 1, overflows, at r near the max.
+    x1, x2, x3 = r * (2.0 * w.real), r * (2.0 * w.imag), r * (abs(q.z2) ** 2 - abs(q.z1) ** 2)
+    if not (math.isfinite(x1) and math.isfinite(x2) and math.isfinite(x3)):
+        raise RangeError(f"the point on the sphere of radius {r!r} overflows")
+    return x1, x2, x3
 
 
 def antipode(q: SpherePoint) -> SpherePoint:
@@ -147,7 +150,10 @@ def sphere_metric_factor(q: SpherePoint, r: float) -> float:
         raise InfinityPoint("metric factor in the affine chart needs a finite point")
     if not 0 < r < math.inf:
         raise RangeError(f"radius must be positive and finite, got {r!r}")
-    return 4.0 * r * r * abs(q.z2) ** 4
+    factor = 4.0 * r * r * abs(q.z2) ** 4
+    if not math.isfinite(factor):
+        raise RangeError(f"the metric factor at radius {r!r} overflows")
+    return factor
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,11 @@
-"""Double covers: SU(2) -> SO(3), SL(2,R) -> SO(2,1), SL(2,C) -> SO(3,1).
+"""The double cover SL(2,C) -> SO(3,1) and its blocks SU(2) -> SO(3), SL(2,R) -> SO(2,1).
 
-Each cover is the adjoint action on a trace-orthogonal matrix basis, read
-off by trace pairing; all three are quadratic in the group element, so
-S and -S map to the same image.  The 4d cover acts on Hermitian matrices
-X = x^mu tau_mu with tau = (I, -sigma1, sigma2, sigma3); the sign on the
-first Pauli matrix is what makes the induced sphere action come out as
-z -> (a z + b)/(c z + d) with the same (a, b, c, d).
+The cover is the adjoint action X -> S X S-dagger on Hermitian matrices
+X = x^mu tau_mu with tau = (I, -sigma1, sigma2, sigma3), read off by trace
+pairing; it is quadratic in S, so S and -S map to the same image.  The sign
+on the first Pauli matrix makes the induced sphere action z -> (a z + b)/(c z + d).
+SU(2) fixes x0: its image is the spatial block, signed back to the Pauli basis.
+A real S has S sigma2 S^T = sigma2, so it fixes x2: its image is the (x0, x3, x1) block.
 """
 
 from __future__ import annotations
@@ -29,22 +29,11 @@ _PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dt
 #: Basis of 2x2 Hermitian matrices carrying four-vector components.
 TAU = np.stack([np.eye(2, dtype=complex), -_PAULI[0], _PAULI[1], _PAULI[2]])
 
-#: Traceless real generators for the 3d cover; tr(t_mu t_nu) = 2 eta_mu_nu.
-_SL2R_GEN = np.array([[[0.0, 1.0], [-1.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]],
-                      [[1.0, 0.0], [0.0, -1.0]]])
-
-
-def _adjoint_form(basis: np.ndarray) -> np.ndarray:
-    """Constant (k*k) x 16 matrix K of the adjoint action on ``basis``, by trace pairing."""
-    # (K @ outer(s, t).ravel())[n*k + m] = 1/2 tr(basis_n s basis_m t^T), t = conj(s) or s^-T
-    return 0.5 * np.einsum("nia,mbc->nmabic", basis, basis).reshape(len(basis) ** 2, 16)
-
-
-_COVER = _adjoint_form(TAU)
-_SO3_COVER = _adjoint_form(_PAULI)
-# The sl2r cover lowers the first index with diag(-1, 1, 1).
-_SO21_COVER = np.repeat([-1.0, 1.0, 1.0], 3)[:, None] * _adjoint_form(_SL2R_GEN)
-for _const in (TAU, _PAULI, _SL2R_GEN, _COVER, _SO3_COVER, _SO21_COVER):
+# (_COVER @ outer(s, conj s).ravel())[4 n + m] = 1/2 tr(tau_n s tau_m s-dagger), by trace pairing
+_COVER = 0.5 * np.einsum("nia,mbc->nmabic", TAU, TAU).reshape(16, 16)
+# the signs that take the spatial block from the tau basis to the Pauli basis
+_PAULI_SIGNS = np.outer([-1.0, 1.0, 1.0], [-1.0, 1.0, 1.0])
+for _const in (TAU, _PAULI, _COVER, _PAULI_SIGNS):
     _const.setflags(write=False)
 
 
@@ -113,7 +102,7 @@ class SU2Element:
     def __post_init__(self):
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "beta", complex(self.beta))
-        norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
+        norm = abs(self.alpha) * abs(self.alpha) + abs(self.beta) * abs(self.beta)  # may be inf
         if not abs(norm - 1.0) <= _SU2_NORM_TOL:  # also refuses nan
             raise RangeError(f"|alpha|^2 + |beta|^2 = {norm} is not 1 within {_SU2_NORM_TOL}")
 
@@ -137,9 +126,6 @@ class SL2RElement(_Unimodular):
 
     _scalar = float
 
-    def inverse_matrix(self) -> np.ndarray:
-        return np.array([[self.d, -self.b], [-self.c, self.a]])
-
 
 @dataclass(frozen=True, eq=False)
 class HermitianSlot:
@@ -154,6 +140,8 @@ class HermitianSlot:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise RangeError("expected a 2x2 matrix")
+        if not np.isfinite(m).all():  # before the residual, whose inf - inf numpy warns of
+            raise NotHermitian("entries must be finite")
         residual = float(np.abs(m - m.conj().T).max())
         if not residual <= _HERMITIAN_TOL:  # also refuses nan
             raise NotHermitian(f"Hermiticity residual {residual:.3e} exceeds {_HERMITIAN_TOL}")
@@ -178,42 +166,38 @@ def four_vector_from_hermitian(x: HermitianSlot | np.ndarray) -> FourVector:
     """Inverse of :func:`hermitian_from_four_vector` (exact on its image)."""
     if not isinstance(x, HermitianSlot):
         x = HermitianSlot(np.asarray(x))
-    m = x.matrix
-    return FourVector(
-        0.5 * (m[0, 0].real + m[1, 1].real),
-        -m[0, 1].real,
-        -m[0, 1].imag,
-        0.5 * (m[0, 0].real - m[1, 1].real),
-    )
+    (p, q), (_, t) = x.matrix.tolist()  # Python numbers: an overflow is inf without a warning
+    return FourVector(0.5 * (p.real + t.real), -q.real, -q.imag, 0.5 * (p.real - t.real))
 
 
-def sl2c_to_lorentz(s: SL2CElement) -> LorentzMatrix:
-    """Image of s under the 2-to-1 cover of the proper orthochronous group.
+def _cover(s: _Unimodular) -> tuple[np.ndarray, float]:
+    """4x4 image of s and its 0-0 entry |s|_F^2 / 2.
 
     Column mu holds the tau-basis components of s tau_mu s-dagger; entries
     are quadratic in (a, b, c, d), so s and -s give the same matrix.
     """
-    # The sums below are at most lam_00 = |s|_F^2 / 2: refuse its overflow before numpy warns.
+    # The sums below are at most lam_00: refuse its overflow before numpy warns.
     lam00 = sum(0.5 * (x.real * x.real + x.imag * x.imag) for x in (s.a, s.b, s.c, s.d))
     if not math.isfinite(lam00):
         raise NotLorentz(math.inf, "matrix has non-finite entries")
     m = s.matrix
-    out = (_COVER @ np.multiply.outer(m, m.conj()).ravel()).real.reshape(4, 4)
+    return (_COVER @ np.multiply.outer(m, m.conj()).ravel()).real.reshape(4, 4), lam00
+
+
+def sl2c_to_lorentz(s: SL2CElement) -> LorentzMatrix:
+    """Image of s under the 2-to-1 cover of the proper orthochronous group."""
+    out, lam00 = _cover(s)
     return LorentzMatrix(out, _tolerance(lam00, lam00))
 
 
 def su2_to_so3(u: SU2Element) -> np.ndarray:
-    """3x3 rotation from the adjoint action on the Pauli basis."""
-    m = u.matrix
-    return (_SO3_COVER @ np.multiply.outer(m, m.conj()).ravel()).real.reshape(3, 3)
+    """3x3 rotation: the spatial block of the cover, in the Pauli basis."""
+    return _PAULI_SIGNS * _cover(u.to_sl2c())[0][1:, 1:] + 0.0  # + 0.0: a flipped 0 stays +0
 
 
 def sl2r_to_so21(s: SL2RElement) -> np.ndarray:
-    """3x3 Lorentz matrix (signature -,+,+) from the adjoint action.
-
-    The image preserves diag(-1, 1, 1) and has top-left entry >= 1.
-    """
-    return (_SO21_COVER @ np.multiply.outer(s.matrix, s.inverse_matrix().T).ravel()).reshape(3, 3)
+    """3x3 Lorentz matrix (signature -,+,+, top-left entry >= 1): the (x0, x3, x1) block."""
+    return _cover(s)[0][np.ix_((0, 3, 1), (0, 3, 1))]
 
 
 def su2_from_axis_angle(n: Iterable[float], phi: float) -> SU2Element:

@@ -24,10 +24,13 @@ from lorentzsky.errors import LorentzSkyError, NotLorentz
 from lorentzsky.minkowski import DEFAULT_TOL, METRIC
 from lorentzsky.sampling import (random_proper_orthochronous, random_rotation,
                                  random_sl2c, random_su2)
-from lorentzsky.spin import _PAULI, _SL2R_GEN, TAU, _rotation_cover
+from lorentzsky.spin import _PAULI, TAU, _rotation_cover
 
 N = 500
 ETA3 = np.array([-1.0, 1.0, 1.0])
+#: Traceless real generators of sl(2,R); tr(t_mu t_nu) = 2 eta_mu_nu.
+SL2R_GEN = np.array([[[0.0, 1.0], [-1.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]],
+                     [[1.0, 0.0], [0.0, -1.0]]])
 
 
 def ref_sl2c_to_lorentz(m):
@@ -41,8 +44,8 @@ def ref_su2_to_so3(m):
 
 
 def ref_sl2r_to_so21(m, inv):
-    conj = np.einsum("ab,mbc,cd->mad", m, _SL2R_GEN, inv)
-    return ETA3[:, None] * (0.5 * np.einsum("nab,mba->nm", _SL2R_GEN, conj))
+    conj = np.einsum("ab,mbc,cd->mad", m, SL2R_GEN, inv)
+    return ETA3[:, None] * (0.5 * np.einsum("nab,mba->nm", SL2R_GEN, conj))
 
 
 def random_sl2r(rng):
@@ -73,7 +76,7 @@ def test_su2_cover_matches_trace_pairing(rng):
 def test_sl2r_cover_matches_trace_pairing(rng):
     for _ in range(N):
         s = random_sl2r(rng)
-        assert_close_to_scale(sl2r_to_so21(s), ref_sl2r_to_so21(s.matrix, s.inverse_matrix()))
+        assert_close_to_scale(sl2r_to_so21(s), ref_sl2r_to_so21(s.matrix, s.inverse().matrix))
 
 
 HALF_TURNS = [np.diag([1.0, -1.0, -1.0]), np.diag([-1.0, 1.0, -1.0]), np.diag([-1.0, -1.0, 1.0])]

@@ -3,6 +3,7 @@ also the ValueError these checks raised before, unless the function's other bad 
 already raise another LorentzSkyError)."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,14 +11,24 @@ import pytest
 from lorentzsky import (FourVector, HermitianSlot, LorentzMatrix, MoebiusTransform,
                         PolarAngles, RenderSpec, SL2CElement, SL2RElement, SpherePoint,
                         StandardDecomposition, SU2Element, aberrate, blackbody_rgb,
-                        boost_x, disc_radius_px, doppler, integrate_proper_acceleration,
-                        inverse_stereo, rotation_about_axis, rotation_embed, sl2c_to_lorentz,
-                        sphere_metric_factor, stereo_project, su2_from_axis_angle,
+                        boost_x, disc_radius_px, doppler, four_vector_from_hermitian,
+                        hermitian_from_four_vector, integrate_proper_acceleration,
+                        inverse_stereo, lift_lorentz_to_sl2c, recompose, rotation_about_axis,
+                        rotation_embed, sl2c_to_lorentz, sl2r_to_so21, sphere_metric_factor,
+                        standard_decompose, stereo_project, su2_from_axis_angle,
                         validate_lorentz, velocity_from_rapidity)
 from lorentzsky.celestial import BondiPoint, act_asymptotic, act_exact
 from lorentzsky.errors import LorentzSkyError, NotHermitian, NotLorentz, NotOnSphere, RangeError
 
 Q = SpherePoint.from_complex(0.0)
+
+
+def rounded_away_r2():
+    """A rotation . boost . rotation product, labelled proper, whose r2 is all rounding."""
+    r1 = rotation_about_axis(np.array([1.0, 2.0, 3.0]) / np.linalg.norm([1.0, 2.0, 3.0]), 2.0)
+    r2 = rotation_about_axis(np.array([3.0, -1.0, 2.0]) / np.linalg.norm([3.0, -1.0, 2.0]), 4.0)
+    return recompose(StandardDecomposition(r1, 124.0, r2))
+
 
 SITES = {
     "four_vector_inf": lambda: FourVector(math.inf, 0, 0, 0),
@@ -29,6 +40,7 @@ SITES = {
     "sl2c_from_matrix_shape": lambda: SL2CElement.from_matrix(np.eye(3)),
     "su2_norm": lambda: SU2Element(1.0, 1.0),
     "su2_nan": lambda: SU2Element(math.nan, 0.0),
+    "su2_norm_overflow": lambda: SU2Element(1e200, 0.0),
     "sl2r_det": lambda: SL2RElement(2.0, 0.0, 0.0, 1.0),
     "sl2r_nan": lambda: SL2RElement(1.0, math.nan, 0.0, 1.0),
     "decomposition_reflection": lambda: StandardDecomposition(np.diag([1.0, 1.0, -1.0]),
@@ -60,6 +72,17 @@ SITES = {
     "moebius_dilation_inf": lambda: MoebiusTransform.dilation(math.inf),
     "hermitian_shape": lambda: HermitianSlot(np.eye(3)),
     "hermitian_nan": lambda: HermitianSlot([[math.nan, 0.0], [0.0, 1.0]]),
+    "hermitian_inf": lambda: HermitianSlot([[math.inf, 0.0], [0.0, 1.0]]),
+    "hermitian_from_four_vector_overflow": lambda: hermitian_from_four_vector(
+        FourVector(1e308, 0.0, 0.0, 1e308)),
+    "four_vector_from_hermitian_overflow": lambda: four_vector_from_hermitian(
+        np.array([[1e308, 0.0], [0.0, -1e308]])),
+    # |z1|^2 = 1 + 1e-14 is left unnormalized, and r |z1|^2 overflows
+    "inverse_stereo_overflow": lambda: inverse_stereo(SpherePoint(1.0 + 5e-15, 0.0),
+                                                      sys.float_info.max),
+    "sphere_metric_overflow": lambda: sphere_metric_factor(SpherePoint(0.0, 1.0), 1e155),
+    "standard_decompose_rounded_away": lambda: standard_decompose(rounded_away_r2()),
+    "lift_rounded_away": lambda: lift_lorentz_to_sl2c(rounded_away_r2()),
     "lorentz_tolerance": lambda: LorentzMatrix(np.eye(4), 0.0),
     "lorentz_shape": lambda: LorentzMatrix(np.eye(3)),
     "lorentz_tolerance_nan": lambda: validate_lorentz(np.eye(4), tol=math.nan),
@@ -68,6 +91,7 @@ SITES = {
     "lorentz_tolerance_inf_product": lambda: boost_x(300.0) @ boost_x(300.0),
     # products that overflow a double: the package error, with no numpy warning first
     "lorentz_non_finite_cover": lambda: sl2c_to_lorentz(SL2CElement(1e160, 0, 0, 1e-160)),
+    "sl2r_cover_overflow": lambda: sl2r_to_so21(SL2RElement(1e160, 0, 0, 1e-160)),
     "lorentz_residual_overflow": lambda: validate_lorentz(np.diag([1e200, 1.0, 1.0, 1.0])),
     "lorentz_product_overflow": lambda: boost_x(355.4) @ boost_x(355.4),
     "act_exact_overflow": lambda: act_exact(sl2c_to_lorentz(MoebiusTransform.dilation(20.0).s),
@@ -103,7 +127,10 @@ SITES = {
 # the sites whose check raises the error its other inputs already raise, not a RangeError
 NOT_RANGE_ERRORS = {
     "hermitian_nan": NotHermitian,
+    "hermitian_inf": NotHermitian,
+    "hermitian_from_four_vector_overflow": NotHermitian,
     "lorentz_non_finite_cover": NotLorentz,
+    "sl2r_cover_overflow": NotLorentz,
     "lorentz_residual_overflow": NotLorentz,
     "lorentz_product_overflow": NotLorentz,
     "inverse_stereo_radius_nan": NotOnSphere,

@@ -52,6 +52,12 @@ def test_stereo_projection_examples():
     assert stereo_project(0.0, 0.0, -1.0, 1.0).is_infinity
 
 
+def test_inverse_stereo_is_finite_to_the_largest_radius():
+    # (2 r) w overflows past half the largest double; r (2 w) does not
+    half = 0.7071067811865475  # both coordinates of SpherePoint(1, 1)
+    assert inverse_stereo(SpherePoint(1.0, 1.0), 1e308) == (1e308 * (2.0 * half * half), 0.0, 0.0)
+
+
 def test_stereo_rejects_off_sphere_points():
     with pytest.raises(NotOnSphere):
         stereo_project(1.0, 0.0, 0.0, 2.0)

@@ -455,4 +455,17 @@ def test_restriction_to_su2_matches_rotation_cover(rng):
         assert np.abs(lam.entries[0, 1:]).max() < 1e-12
         assert np.abs(lam.entries[1:, 0]).max() < 1e-12
         spatial = lam.entries[1:, 1:]
-        assert np.abs(spatial - flip @ su2_to_so3(u) @ flip).max() <= 1e-10
+        assert np.array_equal(spatial, flip @ su2_to_so3(u) @ flip)
+
+
+def test_restriction_to_sl2r_matches_real_cover(rng):
+    # A real S keeps S sigma2 S^T = sigma2, so its cover fixes x2, and the
+    # SL(2,R) cover is the (x0, x3, x1) block of the SL(2,C) one.
+    axes = [0, 3, 1]
+    for _ in range(100):
+        s = random_sl2r(rng)
+        lam = sl2c_to_lorentz(SL2CElement(s.a, s.b, s.c, s.d)).entries
+        assert np.array_equal(lam[np.ix_(axes, axes)], sl2r_to_so21(s))
+        scale = 1e-15 * lam[0, 0]
+        assert np.abs(lam[2] - [0, 0, 1, 0]).max() <= scale
+        assert np.abs(lam[:, 2] - [0, 0, 1, 0]).max() <= scale
