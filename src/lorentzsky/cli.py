@@ -204,25 +204,15 @@ def _build_parser() -> argparse.ArgumentParser:
                     f"Velocities are fractions of c = {_C_M_PER_S} m/s.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p: argparse.ArgumentParser) -> None:
+    for name, func, text in (
+            ("classify", _cmd_classify, "name the connected component of a Lorentz matrix"),
+            ("decompose", _cmd_decompose, "factor as rotation . boost . rotation"),
+            ("lift", _cmd_lift, "spinor lift of a proper orthochronous matrix"),
+            ("mobius", _cmd_mobius, "apply z -> (a z + b)/(c z + d) to points")):
+        p = sub.add_parser(name, help=text)
         p.add_argument("--input", help="input file (default: stdin)")
         p.add_argument("--out", help="output file (default: stdout)")
-
-    p = sub.add_parser("classify", help="name the connected component of a Lorentz matrix")
-    add_io(p)
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("decompose", help="factor as rotation . boost . rotation")
-    add_io(p)
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("lift", help="spinor lift of a proper orthochronous matrix")
-    add_io(p)
-    p.set_defaults(func=_cmd_lift)
-
-    p = sub.add_parser("mobius", help="apply z -> (a z + b)/(c z + d) to points")
-    add_io(p)
-    p.set_defaults(func=_cmd_mobius)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("aberrate", help="apparent angle and Doppler factor under a boost")
     p.add_argument("--chi", type=float, required=True, help="boost rapidity")

@@ -80,8 +80,14 @@ class FourVector:
 
 
 def interval_squared(dx: FourVector) -> float:
-    """Squared interval -dx0^2 + dx1^2 + dx2^2 + dx3^2 (length squared)."""
-    return -dx.x0 * dx.x0 + dx.x1 * dx.x1 + dx.x2 * dx.x2 + dx.x3 * dx.x3
+    """Squared interval -dx0^2 + dx1^2 + dx2^2 + dx3^2 (length squared).
+
+    Raises :class:`RangeError` when it is past the double range.
+    """
+    s = -dx.x0 * dx.x0 + dx.x1 * dx.x1 + dx.x2 * dx.x2 + dx.x3 * dx.x3
+    if not math.isfinite(s):   # inf, or nan from inf - inf
+        raise RangeError(f"squared interval of {dx} overflows a double")
+    return s
 
 
 class ComponentLabel(Enum):
@@ -278,12 +284,14 @@ def add_velocities(v: float, w: float) -> float:
 
 
 def _boost_terms(chi: Rapidity) -> tuple[float, float]:
-    """cosh and sinh chi; RangeError naming a finite chi whose cosh^2 overflows (~355.3)."""
+    """cosh and sinh chi; RangeError for a non-finite chi or one whose cosh^2 overflows (~355.3)."""
+    if not math.isfinite(chi):
+        raise RangeError(f"rapidity must be finite, got {chi!r}")
     try:
         ch, sh = math.cosh(chi), math.sinh(chi)
     except OverflowError:
         ch = sh = math.inf
-    if math.isfinite(chi) and not math.isfinite(ch * ch):
+    if not math.isfinite(ch * ch):
         raise RangeError(f"rapidity {chi!r} is out of range: cosh^2 overflows a double")
     return ch, sh
 

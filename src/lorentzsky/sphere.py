@@ -13,8 +13,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InfinityPoint, NotOnSphere, RangeError
 from .spin import SL2CElement
 

@@ -150,8 +150,12 @@ class HermitianSlot:
 
     @property
     def det(self) -> float:
-        m = self.matrix
-        return float((m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]).real)
+        """RangeError when it is past the double range."""
+        (p, q), (r, t) = self.matrix.tolist()   # Python numbers: an overflow is inf, unwarned
+        det = (p * t - q * r).real
+        if not math.isfinite(det):
+            raise RangeError(f"determinant of {self.matrix.tolist()} overflows a double")
+        return det
 
 
 def hermitian_from_four_vector(x: FourVector) -> HermitianSlot:

@@ -114,13 +114,13 @@ def load_catalog(source: str | Path | IO[str]) -> Catalog:
     (errors="surrogateescape"), raises ParseError naming its line; a stream
     whose decoder raises lets its UnicodeDecodeError out.
 
-    The body is read _READ characters at a time, cut after the last newline;
-    plain pieces (see :func:`_plain_piece`) are parsed from their UTF-8 bytes.
-    The per-row csv loop :func:`_parse_rows`, the reference parser and the
-    error path, parses everything from the first other piece on, so a catalog
-    with quoted names, CR line endings, blank lines or a line longer than
-    _READ is parsed by it from the first such piece.  A stream must end its
-    lines at "\n" (newline None, "" or "\n"), as csv.reader needs.
+    The body is read in pieces of _READ characters, then the rest of that
+    line; plain pieces (see :func:`_plain_piece`) are parsed from their UTF-8
+    bytes.  The per-row csv loop :func:`_parse_rows`, the reference parser
+    and the error path, parses everything from the first other piece on, so
+    a catalog with quoted names, CR line endings or blank lines is parsed by
+    it from the first such piece.  A stream must end its lines at "\n"
+    (newline None, "" or "\n"), as csv.reader needs.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
@@ -136,32 +136,26 @@ def load_catalog(source: str | Path | IO[str]) -> Catalog:
             raise ParseError(1, f"expected header {','.join(_HEADER)} "
                                 f"(temp_k optional), got {','.join(header)}")
         offset = reader.line_num
-        tail = ""   # the text after the last newline read
-        while text := tail + (chunk := source.read(_READ)):
-            cut = text.rfind("\n") + 1 if chunk else len(text)
-            piece = _plain_piece(text[:cut], len(header)) if cut else None
-            if piece is None:
+        while text := source.read(_READ):
+            text += source.readline()   # so the piece ends at a line end, or at the end
+            piece = _plain_piece(text, len(header), offset)
+            if piece is None:   # the csv loop parses this piece and the rest of source
                 # The lines iterating source gives: one that reports the newlines it
                 # reads (newline None or "") ends lines at "\r" and "\r\n" too.
                 newline = "" if getattr(source, "newlines", None) else "\n"
-                lines = io.StringIO(text + source.readline(), newline=newline)
-                reader = csv.reader(_numbered(chain(lines, source), offset))
+                lines = chain(io.StringIO(text, newline=newline), source)
+                reader = csv.reader(_numbered(lines, offset))
                 piece = _parse_rows(reader, offset, len(header))
-                names += piece[0]
-                blocks.append(piece[1])
-                break
-            _check_ranges(piece[1], lambda row: f"line {offset + 1 + row}")
             names += piece[0]
             blocks.append(piece[1])
             offset += len(piece[0])
-            tail = text[cut:]
     except csv.Error as exc:  # such as a field longer than csv.field_size_limit()
         raise ParseError(offset + reader.line_num, str(exc)) from None
     return Catalog(names, *np.concatenate([np.empty((4, 0)), *blocks], axis=1))
 
 
-def _plain_piece(text: str, n_cols: int) -> tuple[list[str], np.ndarray] | None:
-    """Names and (4, lines) values of plain lines, else None.
+def _plain_piece(text: str, n_cols: int, offset: int) -> tuple[list[str], np.ndarray] | None:
+    """Names and range-checked (4, lines) values of plain lines after line offset, else None.
 
     Plain lines need no csv rule: no quote, CR, NUL or lone surrogate (such as
     a byte that is not UTF-8), n_cols - 1 commas and a newline each (so no
@@ -195,6 +189,7 @@ def _plain_piece(text: str, n_cols: int) -> tuple[list[str], np.ndarray] | None:
                                             seps[:, 1:].ravel()).reshape(-1, n_cols - 1).T
     except ValueError:
         return None
+    _check_ranges(values, lambda row: f"line {offset + 1 + row}")
     return names, values
 
 

@@ -140,7 +140,9 @@ PIECE_EDGES = {
     "read ends inside a line": (HEADER + "a,1,2,3,4\nlong name,1.5,2.5,3.5,4.5\nb,1,2,3,4\n",
                                 "", 32, False),
     "line longer than one read": (HEADER + "a,1,2,3,4\n" + "n" * 40 + ",1,2,3,4\nb,1,95,3,4\n",
-                                  "", 16, True),
+                                  "", 16, False),
+    "read ends inside an out-of-range line": (HEADER + "a,1,2,3,4\nbb,1,95,3,4\n"
+                                              + '"q, r",1,2,3,4\n', "", 20, False),
     "boundary on a newline": (HEADER + "a,1,2,3,4\nb,1,2,3,4\nc,1,2,3,4\n", "", 10, False),
     "CRLF split across reads": (HEADER + "a,1,2,3,4\nb,1,2,3,4\r\nc,1,95,3,4\n", "", 10, True),
     "CRLF split, newline None": (HEADER + "a,1,2,3,4\nb,1,2,3,4\r\nc,1,2,3,4\n", None, 10, False),

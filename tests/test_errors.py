@@ -11,9 +11,10 @@ import pytest
 from lorentzsky import (FourVector, HermitianSlot, LorentzMatrix, MoebiusTransform,
                         PolarAngles, RenderSpec, SL2CElement, SL2RElement, SpherePoint,
                         StandardDecomposition, SU2Element, aberrate, blackbody_rgb,
-                        boost_x, disc_radius_px, doppler, four_vector_from_hermitian,
-                        hermitian_from_four_vector, integrate_proper_acceleration,
-                        inverse_stereo, lift_lorentz_to_sl2c, recompose, rotation_about_axis,
+                        boost_axis, boost_x, disc_radius_px, doppler,
+                        four_vector_from_hermitian, hermitian_from_four_vector,
+                        integrate_proper_acceleration, interval_squared, inverse_stereo,
+                        lift_lorentz_to_sl2c, recompose, rotation_about_axis,
                         rotation_embed, sl2c_to_lorentz, sl2r_to_so21, sphere_metric_factor,
                         standard_decompose, stereo_project, su2_from_axis_angle,
                         validate_lorentz, velocity_from_rapidity)
@@ -114,6 +115,11 @@ SITES = {
                                                                        [1.0, 1.0]),
     "proper_acceleration_overflow": lambda: integrate_proper_acceleration([0.0, 1e308],
                                                                           [1e308, 1e308]),
+    "boost_x_nan": lambda: boost_x(math.nan),
+    "boost_axis_inf": lambda: boost_axis((0.0, 0.0, 1.0), math.inf),
+    "interval_overflow": lambda: interval_squared(FourVector(1e200, 0.0, 0.0, 0.0)),
+    "interval_inf_minus_inf": lambda: interval_squared(FourVector(1e200, 1e200, 0.0, 0.0)),
+    "hermitian_det_overflow": lambda: HermitianSlot([[1e200, 0.0], [0.0, 1e200]]).det,
     "velocity_rapidity_nan": lambda: velocity_from_rapidity(math.nan),
     "velocity_rapidity_inf": lambda: velocity_from_rapidity(math.inf),
     "render_spec_float_width": lambda: RenderSpec(width=800.5, format="ppm"),
