@@ -41,7 +41,7 @@ class BondiPoint:
 
 
 def _bondi(x0: float, x1: float, x2: float, x3: float) -> BondiPoint:
-    r = math.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
+    r = math.hypot(x1, x2, x3)   # no square to overflow or underflow
     if r <= _ORIGIN_EPS:
         raise OriginDirectionUndefined("the spatial origin has no direction")
     return BondiPoint(x0 + r, r, stereo_project(x1, x2, x3, r))

@@ -1,6 +1,7 @@
 """Command-line interface.
 
 Subcommands: classify, decompose, lift, mobius, aberrate, render.
+classify, decompose, lift and mobius are functions of their JSON payload.
 Exit codes: 0 on success, 1 on validation errors, 2 on usage errors.
 All numeric output carries 12 significant digits.  Matrices travel as
 JSON {"m": [[row0], [row1], [row2], [row3]]}; complex numbers as
@@ -55,8 +56,8 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _emit_json(payload: Any, out_path: str | None) -> None:
-    _emit(json.dumps(_round12(payload)) + "\n", out_path)
+def _json(payload: Any) -> str:
+    return json.dumps(_round12(payload)) + "\n"
 
 
 def _read_json(in_path: str | None) -> Any:
@@ -76,8 +77,8 @@ def _number(value: Any) -> float:
     return float(value)
 
 
-def _lorentz_from_input(in_path: str | None) -> LorentzMatrix:
-    payload = _read_json(in_path)
+def _lorentz(payload: Any) -> LorentzMatrix:
+    """The validated Lorentz matrix of a {"m": [[row0], ..., [row3]]} payload."""
     if not isinstance(payload, dict) or "m" not in payload:
         raise LorentzSkyError('expected a JSON object with key "m"')
     m = payload["m"]
@@ -92,40 +93,29 @@ def _lorentz_from_input(in_path: str | None) -> LorentzMatrix:
 
 
 def _complex_from_json(value: Any, key: str) -> complex:
-    if isinstance(value, (int, float)):
-        value = [value, 0.0]
-    if isinstance(value, list) and len(value) == 2:
-        try:
-            return complex(_number(value[0]), _number(value[1]))
-        except (TypeError, ValueError, OverflowError):
-            pass
-    raise LorentzSkyError(f'"{key}" must be a number or an [re, im] pair')
+    try:  # a list of another length, or anything but a list or number, is refused here
+        re, im = (value, 0.0) if isinstance(value, (int, float)) else value
+        return complex(_number(re), _number(im))
+    except (TypeError, ValueError, OverflowError):
+        raise LorentzSkyError(f'"{key}" must be a number or an [re, im] pair') from None
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
-    lam = _lorentz_from_input(args.input)
-    _emit(classify_component(lam).value + "\n", args.out)
-    return 0
+def _classify(payload: Any) -> str:
+    return classify_component(_lorentz(payload)).value + "\n"
 
 
-def _cmd_decompose(args: argparse.Namespace) -> int:
-    lam = _lorentz_from_input(args.input)
-    dec = standard_decompose(lam)
-    _emit_json({"r1": dec.r1.tolist(), "chi": dec.chi, "r2": dec.r2.tolist()},
-               args.out)
-    return 0
+def _decompose(payload: Any) -> str:
+    dec = standard_decompose(_lorentz(payload))
+    return _json({"r1": dec.r1.tolist(), "chi": dec.chi, "r2": dec.r2.tolist()})
 
 
-def _cmd_lift(args: argparse.Namespace) -> int:
-    lam = _lorentz_from_input(args.input)
-    s = lift_lorentz_to_sl2c(lam)
-    _emit_json({k: [v.real, v.imag] for k, v in
-                (("a", s.a), ("b", s.b), ("c", s.c), ("d", s.d))}, args.out)
-    return 0
+def _lift(payload: Any) -> str:
+    s = lift_lorentz_to_sl2c(_lorentz(payload))
+    return _json({k: [v.real, v.imag] for k, v in
+                  (("a", s.a), ("b", s.b), ("c", s.c), ("d", s.d))})
 
 
-def _cmd_mobius(args: argparse.Namespace) -> int:
-    payload = _read_json(args.input)
+def _mobius(payload: Any) -> str:
     if not isinstance(payload, dict):
         raise LorentzSkyError("expected a JSON object with keys a, b, c, d, points")
     coeffs = {k: _complex_from_json(payload.get(k), k) for k in "abcd"}
@@ -141,22 +131,20 @@ def _cmd_mobius(args: argparse.Namespace) -> int:
         z = math.inf if entry == "inf" else _complex_from_json(entry, f"points[{i}]")
         w = mob.apply_complex(z)
         images.append("inf" if cmath.isinf(w) else [w.real, w.imag])
-    _emit_json({"points": images}, args.out)
-    return 0
+    return _json({"points": images})
 
 
-def _cmd_aberrate(args: argparse.Namespace) -> int:
+def _cmd_aberrate(args: argparse.Namespace) -> None:
     if not 0.0 <= args.theta_deg <= 180.0:
         raise LorentzSkyError(f"--theta-deg must be in [0, 180], got {args.theta_deg}")
     theta = math.radians(args.theta_deg)
     theta_prime_deg = math.degrees(aberrate(args.chi, theta))
     dop = doppler(args.chi, theta)
     if args.json:
-        _emit_json({"theta_prime_deg": theta_prime_deg, "doppler": dop}, args.out)
+        text = _json({"theta_prime_deg": theta_prime_deg, "doppler": dop})
     else:
-        _emit(f"theta_prime_deg {_fmt(theta_prime_deg)}\n"
-              f"doppler {_fmt(dop)}\n", args.out)
-    return 0
+        text = f"theta_prime_deg {_fmt(theta_prime_deg)}\ndoppler {_fmt(dop)}\n"
+    _emit(text, args.out)
 
 
 def _json_star_chunks(sky: BoostedCatalog) -> Iterator[bytes]:
@@ -176,7 +164,7 @@ def _json_star_chunks(sky: BoostedCatalog) -> Iterator[bytes]:
         yield text[2:] if rows.start == 0 else text   # no ", " before the first star
 
 
-def _cmd_render(args: argparse.Namespace) -> int:
+def _cmd_render(args: argparse.Namespace) -> None:
     # The spec first: a bad size is refused before the catalog is read.
     spec = RenderSpec(projection=args.projection, width=args.width,
                       height=args.height, format=args.format,
@@ -193,7 +181,6 @@ def _cmd_render(args: argparse.Namespace) -> int:
         for chunk in _json_star_chunks(sky):
             sys.stdout.write(chunk.decode("ascii"))
         sys.stdout.write("]}\n")
-    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -204,15 +191,15 @@ def _build_parser() -> argparse.ArgumentParser:
                     f"Velocities are fractions of c = {_C_M_PER_S} m/s.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, func, text in (
-            ("classify", _cmd_classify, "name the connected component of a Lorentz matrix"),
-            ("decompose", _cmd_decompose, "factor as rotation . boost . rotation"),
-            ("lift", _cmd_lift, "spinor lift of a proper orthochronous matrix"),
-            ("mobius", _cmd_mobius, "apply z -> (a z + b)/(c z + d) to points")):
+    for name, to_text, text in (
+            ("classify", _classify, "name the connected component of a Lorentz matrix"),
+            ("decompose", _decompose, "factor as rotation . boost . rotation"),
+            ("lift", _lift, "spinor lift of a proper orthochronous matrix"),
+            ("mobius", _mobius, "apply z -> (a z + b)/(c z + d) to points")):
         p = sub.add_parser(name, help=text)
         p.add_argument("--input", help="input file (default: stdin)")
         p.add_argument("--out", help="output file (default: stdout)")
-        p.set_defaults(func=func)
+        p.set_defaults(func=lambda args, f=to_text: _emit(f(_read_json(args.input)), args.out))
 
     p = sub.add_parser("aberrate", help="apparent angle and Doppler factor under a boost")
     p.add_argument("--chi", type=float, required=True, help="boost rapidity")
@@ -245,10 +232,11 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        args.func(args)
     except (LorentzSkyError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def main() -> None:

@@ -151,8 +151,11 @@ class LorentzMatrix:
         return FourVector(*_matmul(self.entries, np.array(v), sum(map(abs, v))).tolist())
 
     def inverse(self) -> "LorentzMatrix":
-        # eta M^T eta, the exact inverse of a metric-preserving matrix: eta_i M_ji eta_j.
-        return LorentzMatrix(self.entries.T * _ETA_SIGNS, self.tol)
+        # eta M^T eta, the exact inverse of a metric-preserving matrix: eta_i M_ji eta_j.  Its
+        # residual M eta M^T - eta carries M's by up to 7.47 m00^2, as a product's does.
+        m00 = abs(self.entries[0, 0].item())
+        tol = max(self.tol, _tolerance(m00, m00, self.residual * 7.47 * m00 * m00))
+        return LorentzMatrix(self.entries.T * _ETA_SIGNS, tol)
 
     def __matmul__(self, other: "LorentzMatrix") -> "LorentzMatrix":
         b = other.entries.ravel().tolist()  # for _matmul: self's validated entries < sqrt(DBL_MAX)
@@ -162,7 +165,7 @@ class LorentzMatrix:
         # added to the rule for entries of size a00 * b00; a loose factor's tol is a floor.
         carried = self.residual * 7.47 * b[0] * b[0] + other.residual
         scale = abs(self.entries[0, 0].item() * b[0])
-        tol = max(self.tol, other.tol, _tolerance(scale, product[0, 0].item()) + carried)
+        tol = max(self.tol, other.tol, _tolerance(scale, product[0, 0].item(), carried))
         return LorentzMatrix(product, tol)
 
 
@@ -175,10 +178,13 @@ def _matmul(a: np.ndarray, b: np.ndarray, size: float) -> np.ndarray:
         return a @ b
 
 
-def _tolerance(scale: float, m00: float) -> float:
+def _tolerance(scale: float, m00: float, carried: float = 0.0) -> float:
     """From entries of size ``scale`` a Lorentz matrix rounds by ~scale ulp, its residual by
-    ~scale * |m00| ulp (its largest entry).  Python floats: an overflow reads inf, refused."""
-    return DEFAULT_TOL * max(1.0, scale * abs(m00))
+    ~scale * |m00| ulp (its largest entry), plus the residual ``carried`` in from validated
+    factors; a carried bound past the double range bounds nothing and is left out.  Python
+    floats: a rounding bound that overflows reads inf, refused."""
+    tol = DEFAULT_TOL * max(1.0, scale * abs(m00))
+    return tol + carried if carried < math.inf else tol
 
 
 def validate_lorentz(m: np.ndarray | Iterable[Iterable[float]],

@@ -72,8 +72,8 @@ _BLACKBODY_C = np.array([c for _, c in _BLACKBODY_RGB], dtype=float)
 
 @dataclass(frozen=True)
 class RenderSpec:
-    """Image parameters; width and height in pixels, at least 16 each and
-    at most 4096 x 4096 pixels in all."""
+    """Image parameters; width and height in pixels, at least 16 each (a width
+    of 32 for both hemispheres) and at most 4096 x 4096 pixels in all."""
 
     projection: str = "stereographic"
     width: int = 800
@@ -94,6 +94,8 @@ class RenderSpec:
             raise RangeError("width and height must be integers") from None
         if self.width < 16 or self.height < 16:
             raise RangeError("width and height must be at least 16 pixels")
+        if self.hemisphere == "both" and self.width < 32:  # 16 pixels for each panel
+            raise RangeError("width must be at least 32 pixels for both hemispheres")
         if self.width * self.height > _MAX_PIXELS:
             raise RangeError(f"{self.width} x {self.height} pixels exceeds the "
                              f"limit of {_MAX_PIXELS} (4096 x 4096)")

@@ -21,20 +21,19 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     return su2_to_so3(random_su2(rng))
 
 
-def random_sl2c(rng: np.random.Generator, max_entry: float = 3.0) -> SL2CElement:
-    """Unit-determinant complex 2x2 matrix with all entry magnitudes bounded.
+def random_sl2c(rng: np.random.Generator) -> SL2CElement:
+    """Unit-determinant complex 2x2 matrix with all entry magnitudes at most 3.
 
     Rejection sampling: uniform entries, normalized by a square root of the
     determinant, retried until conditioning and the entry bound hold.
     """
     while True:
-        m = rng.uniform(-max_entry, max_entry, (2, 2)) \
-            + 1j * rng.uniform(-max_entry, max_entry, (2, 2))
+        m = rng.uniform(-3.0, 3.0, (2, 2)) + 1j * rng.uniform(-3.0, 3.0, (2, 2))
         det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
         if abs(det) < 0.3:
             continue
         m = m / np.sqrt(det)
-        if np.abs(m).max() <= max_entry:
+        if np.abs(m).max() <= 3.0:
             return SL2CElement.from_matrix(m)
 
 

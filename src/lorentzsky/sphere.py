@@ -111,12 +111,13 @@ def to_polar(q: SpherePoint) -> PolarAngles:
 def stereo_project(x1: float, x2: float, x3: float, r: float) -> SpherePoint:
     """Projection through the south pole: z = (x1 + i x2)/(r + x3).
 
-    The input must satisfy x1^2 + x2^2 + x3^2 = r^2 within 1e-9 r^2; the
-    south pole itself maps to the point at infinity.
+    The input must satisfy (x / r)^2 = 1 within 1e-9, so that no square leaves
+    the double range; the south pole itself maps to the point at infinity.
     """
     if not 0 < r < math.inf:
         raise NotOnSphere(f"radius must be positive and finite, got {r!r}")
-    if abs(x1 * x1 + x2 * x2 + x3 * x3 - r * r) > 1e-9 * r * r:
+    y1, y2, y3 = x1 / r, x2 / r, x3 / r   # a far-off point's y * y reads inf, a nan point nan
+    if not abs(y1 * y1 + y2 * y2 + y3 * y3 - 1.0) <= 1e-9:
         raise NotOnSphere(f"({x1}, {x2}, {x3}) is not on the sphere of radius {r}")
     # Equivalent homogeneous forms; pick the one whose second slot is large.
     if x3 >= 0.0:

@@ -42,6 +42,17 @@ def test_bondi_round_trip(rng):
         assert np.abs(back.as_array() - x.as_array()).max() <= 1e-9
 
 
+def test_bondi_round_trip_past_the_range_of_a_square():
+    # r = hypot(x1, x2, x3): the sum of squares overflowed at 1e200 and underflowed at 5e-170
+    for x in (FourVector(0.0, 1e200, 0.0, 0.0), FourVector(0.0, 3e-170, 4e-170, 0.0)):
+        b = bondi_from_inertial(x)
+        assert b.r == b.u == math.hypot(x.x1, x.x2, x.x3)
+        back = inertial_from_bondi(b).as_array()
+        assert np.abs(back - x.as_array()).max() <= 1e-15 * b.r
+    out = act_exact(boost_x(0.5), BondiPoint(1e200, 1e200, SpherePoint(1.0, 0.0)))
+    assert (out.u, out.r, out.q.is_infinity) == (1e200, 1e200, True)
+
+
 def test_origin_has_no_direction():
     with pytest.raises(OriginDirectionUndefined):
         bondi_from_inertial(FourVector(1.0, 0.0, 0.0, 0.0))

@@ -350,6 +350,41 @@ def test_overflowing_matrix_prints_only_the_error_line(command):
     assert done.stderr == "error: metric-preservation residual inf exceeds tolerance\n"
 
 
+OBLIQUE_BOOST = matrix_json(boost_axis((0.6, 0.0, 0.8), LN2).entries)
+INVERSION = json.dumps({"a": [0.0, 0.0], "b": [1.0, 0.0], "c": [-1.0, 0.0], "d": [0.0, 0.0],
+                        "points": [[0.0, 0.0], "inf", [2.0, 0.5]]})
+# ad - bc = 0, which SL2CElement's relative tolerance would accept
+SINGULAR_MOBIUS = '{"a": 4e4, "b": 4e4, "c": 4e4, "d": 4e4, "points": [[0.0, 0.0]]}'
+
+
+@pytest.mark.parametrize("command, text", [("classify", OBLIQUE_BOOST),
+                                           ("decompose", OBLIQUE_BOOST),
+                                           ("lift", OBLIQUE_BOOST), ("mobius", INVERSION)])
+def test_input_and_out_files_carry_the_bytes_of_stdin_and_stdout(tmp_path, capsys, monkeypatch,
+                                                                 command, text):
+    code, printed, err = run(capsys, monkeypatch, [command], text)
+    assert (code, err) == (0, "") and printed
+    source, target = tmp_path / "in.json", tmp_path / "out.txt"
+    source.write_text(text, encoding="utf-8")
+    argv = [command, "--input", str(source), "--out", str(target)]
+    assert run(capsys, monkeypatch, argv) == (0, "", "")
+    assert target.read_bytes() == printed.encode("utf-8")
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("classify", OVERFLOWING_MATRIX, "metric-preservation residual inf exceeds tolerance"),
+    ("decompose", OVERFLOWING_MATRIX, "metric-preservation residual inf exceeds tolerance"),
+    ("lift", OVERFLOWING_MATRIX, "metric-preservation residual inf exceeds tolerance"),
+    ("mobius", SINGULAR_MOBIUS, "determinant 0j is not 1 within 1e-09")])
+def test_refused_input_file_writes_no_out_file(tmp_path, capsys, monkeypatch, command, text,
+                                               message):
+    source, target = tmp_path / "in.json", tmp_path / "out.txt"
+    source.write_text(text, encoding="utf-8")
+    argv = [command, "--input", str(source), "--out", str(target)]
+    assert run(capsys, monkeypatch, argv) == (1, "", f"error: {message}\n")
+    assert not target.exists()
+
+
 @pytest.mark.parametrize("command", ["classify", "decompose", "lift"])
 @pytest.mark.parametrize("axis", [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.6, 0.0, 0.8)])
 def test_group_commands_refuse_boosts_past_the_absolute_tolerance(capsys, monkeypatch,

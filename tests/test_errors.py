@@ -67,6 +67,9 @@ SITES = {
     "inverse_stereo_radius_inf": lambda: inverse_stereo(Q, math.inf),
     "stereo_project_radius_inf": lambda: stereo_project(0.0, 0.0, 1.0, math.inf),
     "stereo_project_radius_nan": lambda: stereo_project(0.0, 0.0, 1.0, math.nan),
+    # off the sphere, though x1^2 + x2^2 + x3^2 - r^2 overflows (nan) or underflows (0)
+    "stereo_project_off_sphere_huge": lambda: stereo_project(1e200, 0.0, 0.0, 2e200),
+    "stereo_project_off_sphere_tiny": lambda: stereo_project(1e-200, 0.0, 0.0, 3e-200),
     "moebius_special_zero": lambda: MoebiusTransform.special(0.0),
     "moebius_dilation_underflow": lambda: MoebiusTransform.dilation(2000.0),
     "moebius_dilation_overflow": lambda: MoebiusTransform.dilation(-2000.0),
@@ -125,6 +128,8 @@ SITES = {
     "render_spec_float_width": lambda: RenderSpec(width=800.5, format="ppm"),
     "render_spec_float_height": lambda: RenderSpec(height=100.0, format="ppm"),
     "render_spec_text_width": lambda: RenderSpec(width="100"),
+    # each of the two panels needs 16 pixels, as one panel does
+    "render_spec_both_narrow": lambda: RenderSpec(width=16, height=16, hemisphere="both"),
     "blackbody_nan": lambda: blackbody_rgb(math.nan),
     "disc_radius_nan": lambda: disc_radius_px(math.nan),
 }
@@ -143,6 +148,8 @@ NOT_RANGE_ERRORS = {
     "inverse_stereo_radius_inf": NotOnSphere,
     "stereo_project_radius_inf": NotOnSphere,
     "stereo_project_radius_nan": NotOnSphere,
+    "stereo_project_off_sphere_huge": NotOnSphere,
+    "stereo_project_off_sphere_tiny": NotOnSphere,
 }
 
 

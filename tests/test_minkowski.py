@@ -15,7 +15,7 @@ from lorentzsky import (ComponentLabel, FourVector, LorentzMatrix, METRIC, Poinc
                         recompose, StandardDecomposition, validate_lorentz,
                         velocity_from_rapidity)
 from lorentzsky.errors import BadAxis, NotLorentz, RangeError, SpeedLimit
-from lorentzsky.minkowski import DEFAULT_TOL
+from lorentzsky.minkowski import DEFAULT_TOL, _tolerance
 from lorentzsky.sampling import random_proper_orthochronous, random_rotation
 
 LN2 = 0.6931471805599453
@@ -229,6 +229,29 @@ def test_product_carries_a_loosely_validated_factors_residual():
         assert product.tol >= loose.tol
         assert product.residual > DEFAULT_TOL
     assert (boost_x(0.5) @ loose).tol == loose.tol
+
+
+def test_inverse_carries_the_residual_it_validated_with():
+    # M eta M^T - eta can exceed M^T eta M - eta by up to 7.47 m00^2 times: 1.0e-9 here
+    m = boost_x(3.0).entries.copy()
+    m[2, 0] += 1e-10
+    lam = validate_lorentz(m)
+    assert lam.residual == pytest.approx(1e-10, rel=1e-6)
+    inv = lam.inverse()
+    assert inv.residual == pytest.approx(1.007e-9, rel=1e-3) and inv.residual <= inv.tol
+    assert np.array_equal(inv.entries, METRIC @ m.T @ METRIC)
+    assert PoincareTransform(lam, FourVector(0, 0, 0, 0)).inverse().lorentz == inv
+    # an exact boost's rounding residual is carried as a defect would be, as in a product:
+    # boost_x(20)'s inverse is checked at 2.1e18, not 5.9e7, and later products keep that floor
+    exact = boost_x(20.0)
+    carried = exact.residual * 7.47 * math.cosh(20.0) ** 2
+    assert exact.inverse().tol == pytest.approx(exact.tol + carried, rel=1e-12)
+    assert (exact.inverse() @ boost_x(0.1)).tol >= exact.inverse().tol > 1e18
+    # a carried bound past the double range bounds nothing and is left out: the matrix's
+    # own rounding rule is kept
+    big = boost_x(300.0)
+    assert big.inverse().tol == big.tol
+    assert _tolerance(2.0, 3.0, math.inf) == _tolerance(2.0, 3.0) < 1e-8
 
 
 @pytest.mark.parametrize("chi", [711.0, -711.0, 800.0, -800.0, 1e308, 356.0, -356.0, 400.0,

@@ -8,7 +8,7 @@ import pytest
 from lorentzsky import (Catalog, RenderSpec, blackbody_rgb, disc_radius_px,
                         render, transform_catalog)
 from lorentzsky.errors import RangeError
-from lorentzsky.render import _CHUNK, _placements, _render_ppm
+from lorentzsky.render import _CHUNK, _panels, _placements, _render_ppm
 
 LN2 = 0.6931471805599453
 
@@ -47,6 +47,16 @@ def test_spec_caps_the_pixel_count():
         RenderSpec(width=4097, height=4096, format="ppm")
     with pytest.raises(RangeError):
         RenderSpec(width=10**9, height=10**9)
+
+
+def test_spec_gives_each_of_two_panels_16_pixels():
+    # a panel's radius is min(width / 2, height) / 2 - 8: negative below a 32 px width
+    assert _panels(RenderSpec(hemisphere="both", width=32, height=16))[0][3] == 0.0
+    for width, height in ((16, 16), (20, 40), (31, 800)):
+        with pytest.raises(RangeError, match="width must be at least 32 pixels for both"):
+            RenderSpec(hemisphere="both", width=width, height=height)
+    with pytest.raises(RangeError, match="width and height must be at least 16 pixels"):
+        RenderSpec(hemisphere="both", width=8)
 
 
 def test_empty_catalog_renders_background_only():
