@@ -23,7 +23,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-CHUNK = 16384   # rows formatted together
+CHUNK = 16384   # rows formatted together, and stars a sky pass transforms and places together
 _ROW_BYTES = 1 << 24   # bound on a chunk's rows times its widest string field
 
 _PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode("ascii"), np.uint16)
@@ -71,8 +71,8 @@ def join_rows(pieces: list) -> bytes:
     return _field(pieces).tobytes().translate(None, b"\0")
 
 
-def _fallback(field: np.ndarray, col: np.ndarray, slow: np.ndarray,
-              text: Callable[[float], str]) -> np.ndarray:
+def fallback(field: np.ndarray, col: np.ndarray, slow: np.ndarray,
+             text: Callable[[float], str]) -> np.ndarray:
     """field with text(v) in each slow row, widened on the left if a text is wider."""
     rows = np.flatnonzero(slow)
     if not len(rows):
@@ -106,7 +106,7 @@ def fixed3(col: np.ndarray) -> np.ndarray:
     digits[:, :9] *= _LEAD.take(whole_digits, axis=0)[:, 1:]
     first = 9 - int(whole_digits.max(initial=1))   # columns blank in every row
     field = _field([_sign(col), digits[:, first:9], b".", digits[:, 9:]])
-    return _fallback(field, col, slow, "%.3f".__mod__)
+    return fallback(field, col, slow, "%.3f".__mod__)
 
 
 def json_numbers(col: np.ndarray) -> np.ndarray:
@@ -148,7 +148,7 @@ def json_numbers(col: np.ndarray) -> np.ndarray:
     # Without the columns that are blank in every row.
     field = _field([_sign(col), digits[:, 10 - int(whole_digits.max(initial=1)):], b".",
                     frac[:, :int(decimals.max(initial=1))]])
-    return _fallback(field, col, slow, json_number_text)
+    return fallback(field, col, slow, json_number_text)
 
 
 def read_decimals(data: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
@@ -187,15 +187,14 @@ def read_decimals(data: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np
     return values
 
 
+def runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The indices of the runs range(start, start + length), one run after another."""
+    return np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
+
+
 def hex_colors(rgb: np.ndarray) -> np.ndarray:
     """Rows (r, g, b) of uint8 as the six lowercase hex digits of '%02x%02x%02x'."""
     return _HEX.take(rgb).view(np.uint8)
-
-
-def ascii_strings(texts) -> np.ndarray:
-    """ASCII strings as a NUL-padded uint8 field."""
-    arr = np.array(texts, dtype="S")
-    return arr.view(np.uint8).reshape(len(arr), arr.itemsize)
 
 
 def chunks(n: int, width: np.ndarray | None = None) -> Iterator[slice]:

@@ -33,6 +33,8 @@ from .spin import SL2CElement, lift_lorentz_to_sl2c
 from .starfield import BoostedCatalog, load_catalog, transform_catalog
 
 _C_M_PER_S = 299_792_458  # for documentation: velocities here are fractions of this
+# Bytes a JSON string holds as they are: printable ASCII but '"' and '\\'.
+_JSON_PLAIN = np.array([0x20 <= b <= 0x7e and chr(b) not in '"\\' for b in range(256)])
 
 
 def _fmt(x: float) -> str:
@@ -151,14 +153,24 @@ def _json_star_chunks(sky: BoostedCatalog) -> Iterator[bytes]:
     """The "stars" list of the render summary, a chunk of rows at a time.
 
     The bytes of json.dumps of one {"name", "doppler", "temp_k", "vmag"} dict
-    per star, joined by ", ", without building the dicts: names escaped by
-    json's own encoder, numbers by the kernel of :mod:`lorentzsky._text`.
+    per star, joined by ", ", without building the dicts: numbers written by
+    the kernel of :mod:`lorentzsky._text`, names copied out of their UTF-8
+    buffer, except a name holding '"', '\\' or a byte outside printable
+    ASCII, which json's own encoder escapes.
     """
-    names = list(map(encode_basestring_ascii, sky.names))
-    width = np.fromiter(map(len, names), dtype=np.int64, count=len(names))
-    for rows in _text.chunks(len(names), width):
-        text = _text.join_rows([b', {"name": ', _text.ascii_strings(names[rows]),
-                                b', "doppler": ', _text.json_numbers(sky.doppler[rows]),
+    # An escaped name takes at most 6 bytes per byte of its UTF-8.
+    for rows in _text.chunks(len(sky), 6 * np.diff(sky.names.offsets)):
+        names = sky.names[rows]
+        size = np.diff(names.offsets)
+        utf8 = np.frombuffer(names.utf8, np.uint8, int(size.sum()), int(names.offsets[0]))
+        field = np.zeros((len(size), int(size.max())), np.uint8)
+        field.reshape(-1)[_text.runs(np.arange(len(size)) * field.shape[1], size)] = utf8
+        escaped = np.zeros(len(size), dtype=bool)
+        escaped[np.repeat(np.arange(len(size)), size)[~_JSON_PLAIN[utf8]]] = True
+        field = _text.fallback(field, np.arange(rows.start, rows.stop), escaped,
+                               lambda i: encode_basestring_ascii(sky.names[i])[1:-1])
+        text = _text.join_rows([b', {"name": "', field,
+                                b'", "doppler": ', _text.json_numbers(sky.doppler[rows]),
                                 b', "temp_k": ', _text.json_numbers(sky.temp_k[rows]),
                                 b', "vmag": ', _text.json_numbers(sky.vmag[rows]), b"}"])
         yield text[2:] if rows.start == 0 else text   # no ", " before the first star

@@ -2,19 +2,20 @@
 
 Byte-identical output for identical inputs: all coordinates are emitted
 with fixed formatting and the raster decides each pixel by one fixed
-double-precision test.  Every stage works on whole columns; the
-arithmetic is that of the per-star formulas, so the bytes are the same as
-drawing one star at a time.  Stars are discs; radius follows a linear
-ramp in magnitude (6.0 mag -> 1 px, 0.0 mag -> 6 px, clamped) and fill
-color comes from a fixed 16-entry blackbody table with linear
-interpolation.
+double-precision test.  Every stage works on columns, a chunk of stars
+at a time; the arithmetic is that of the per-star formulas, so the bytes
+are the same as drawing one star at a time.  Stars are discs; radius
+follows a linear ramp in magnitude (6.0 mag -> 1 px, 0.0 mag -> 6 px,
+clamped) and fill color comes from a fixed 16-entry blackbody table with
+linear interpolation.
 """
 
 from __future__ import annotations
 
+import io
 import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import IO
 
 import numpy as np
@@ -198,29 +199,42 @@ def render(sky: BoostedCatalog, spec: RenderSpec,
 
     Stars that cannot be represented (at an excluded pole, or outside the
     visible hemisphere) are dropped; their count goes to ``diagnostics``
-    (stderr by default) when non-zero.  SVG coordinates are written by the
-    numpy kernel of :mod:`lorentzsky._text`, byte for byte Python's '%.3f'
-    text, which it falls back to per value (see :func:`_render_svg`).
+    (stderr by default) when non-zero.  The stars are placed a chunk of
+    :data:`~lorentzsky._text.CHUNK` at a time: an SVG gets each chunk's
+    circles as it is placed (see :func:`_render_svg`), a PPM rasterises the
+    discs of all chunks at once.
     """
-    placed, dropped = _placements(sky, spec)
+    dropped = 0
+
+    def chunks():  # each chunk's discs, adding its dropped stars to dropped
+        nonlocal dropped
+        # An empty sky is one empty chunk, so a PPM still gets its (empty) disc columns.
+        for rows in _text.chunks(len(sky)) if len(sky) else [slice(0, 0)]:
+            placed, n = _placements(BoostedCatalog(*(getattr(sky, f.name)[rows]
+                                                     for f in fields(sky))), spec)
+            dropped += n
+            yield placed
+
+    if spec.format == "svg":
+        image = _render_svg(chunks(), spec)
+    else:
+        image = _render_ppm([np.concatenate(col) for col in zip(*chunks())], spec)
     if dropped:
         out = diagnostics if diagnostics is not None else sys.stderr
         print(f"dropped {dropped} star(s) not representable in this projection",
               file=out)
-    if spec.format == "svg":
-        return _render_svg(placed, spec)
-    return _render_ppm(placed, spec)
+    return image
 
 
-def _render_svg(placed, spec: RenderSpec) -> bytes:
+def _render_svg(chunks, spec: RenderSpec) -> bytes:
     """The SVG text: a background, a ring per panel and a circle per disc.
 
-    Each circle is the bytes of
-    ``'<circle cx="%.3f" cy="%.3f" r="%.3f" fill="#%06x"/>'``, written a chunk
-    of rows at a time: :func:`~lorentzsky._text.fixed3` fields for the three
-    numbers, hex digit pairs for the color, joined with the constant pieces.
-    A coordinate within 2^-12 of a rounding tie once scaled by 1000, or not
-    below 1e8, takes Python's '%.3f' text instead.
+    Each chunk's circles are appended to one buffer as the bytes of
+    ``'<circle cx="%.3f" cy="%.3f" r="%.3f" fill="#%06x"/>'``:
+    :func:`~lorentzsky._text.fixed3` fields for the three numbers, hex digit
+    pairs for the color, joined with the constant pieces.  A coordinate
+    within 2^-12 of a rounding tie once scaled by 1000, or not below 1e8,
+    takes Python's '%.3f' text instead.
     """
     bg = "#{:02x}{:02x}{:02x}".format(*_BACKGROUND)
     lines = [
@@ -232,14 +246,14 @@ def _render_svg(placed, spec: RenderSpec) -> bytes:
     for _, cx, cy, radius in _panels(spec):
         lines.append(f'<circle cx="{cx:.3f}" cy="{cy:.3f}" r="{radius:.3f}" '
                      'fill="none" stroke="#303030" stroke-width="1"/>')
-    head = ("\n".join(lines) + "\n").encode("ascii")
-    x, y, rad, rgb = placed
-    circles = (_text.join_rows([b'<circle cx="', _text.fixed3(x[rows]),
-                                b'" cy="', _text.fixed3(y[rows]),
-                                b'" r="', _text.fixed3(rad[rows]),
-                                b'" fill="#', _text.hex_colors(rgb[rows]), b'"/>\n'])
-               for rows in _text.chunks(len(x)))
-    return b"".join([head, *circles, b"</svg>\n"])
+    out = io.BytesIO()   # getvalue() hands over its bytes without a copy
+    out.write(("\n".join(lines) + "\n").encode("ascii"))
+    for x, y, rad, rgb in chunks:
+        out.write(_text.join_rows([b'<circle cx="', _text.fixed3(x), b'" cy="', _text.fixed3(y),
+                                   b'" r="', _text.fixed3(rad),
+                                   b'" fill="#', _text.hex_colors(rgb), b'"/>\n']))
+    out.write(b"</svg>\n")
+    return out.getvalue()
 
 
 def _render_ppm(placed, spec: RenderSpec) -> bytes:

@@ -8,6 +8,9 @@ deliberately simple: temperature scales with the Doppler factor D
 beaming expressed in the 2.5-log magnitude convention.
 
 Catalogs are columns, one float64 array per field, from parse to render.
+The names are columns too: one UTF-8 buffer (surrogatepass, so a lone
+surrogate survives) and int64 offsets into it, a :class:`Names` that
+builds a name's ``str`` only when it is read.
 """
 
 from __future__ import annotations
@@ -15,15 +18,17 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 import re
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO
 
 import numpy as np
 
-from ._text import read_decimals
+from . import _text
 from .celestial import _exp_rapidity
 from .errors import ParseError, RangeError
 from .minkowski import Rapidity
@@ -33,24 +38,85 @@ _HEADER = ["name", "ra_deg", "dec_deg", "vmag", "temp_k"]
 _DEFAULT_TEMP_K = 5778.0
 _READ = 1 << 18   # characters of catalog text read and parsed together
 _NOT_UTF8 = re.compile("[\udc80-\udcff]")   # a byte that is not UTF-8, as surrogateescape reads it
+# Bytes that str.strip may remove at a name's ends: ASCII whitespace, and any
+# non-ASCII byte, whose character the name's own decode tells.
+_STRIP_EDGE = np.array([chr(b).isspace() or b >= 0x80 for b in range(256)])
+
+
+class Names(Sequence[str]):
+    """A read-only sequence of names held as one UTF-8 buffer and int64 offsets.
+
+    Name i is ``utf8[offsets[i]:offsets[i + 1]]``, encoded with surrogatepass;
+    its ``str`` is decoded on access.  A slice with step 1 shares the buffer.
+    A Names equals another Names, or a tuple, with the same names in order.
+    """
+
+    __slots__ = ("utf8", "offsets")
+
+    def __init__(self, utf8: bytes, offsets: np.ndarray):
+        offsets.setflags(write=False)
+        self.utf8, self.offsets = utf8, offsets
+
+    @classmethod
+    def from_strings(cls, names: Iterable[str]) -> Names:
+        """The Names of the strings in order; TypeError for one that is not a str."""
+        encoded = [str.encode(name, "utf-8", "surrogatepass") for name in names]
+        return cls(b"".join(encoded), np.cumsum([0, *map(len, encoded)], dtype=np.int64))
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            start, stop, step = i.indices(len(self))
+            if step == 1:
+                return Names(self.utf8, self.offsets[start:max(start, stop) + 1])
+            return Names.from_strings([self[j] for j in range(start, stop, step)])
+        i = operator.index(i)
+        if not -len(self) <= i < len(self):
+            raise IndexError("name index out of range")
+        i %= len(self)
+        return self.utf8[self.offsets[i]:self.offsets[i + 1]].decode("utf-8", "surrogatepass")
+
+    def __iter__(self):
+        utf8, at = self.utf8, self.offsets.tolist()
+        return (utf8[a:b].decode("utf-8", "surrogatepass") for a, b in zip(at, at[1:]))
+
+    def __eq__(self, other):
+        if isinstance(other, (Names, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Names({list(self)!r})"
+
+
+def _joined(pieces: list[Names]) -> Names:
+    """The names of pieces in order, each piece's offsets starting at 0."""
+    shifts = np.cumsum([0] + [len(piece.utf8) for piece in pieces])
+    return Names(b"".join(piece.utf8 for piece in pieces),
+                 np.concatenate([[0], *(piece.offsets[1:] + shift
+                                        for piece, shift in zip(pieces, shifts))]))
 
 
 @dataclass(frozen=True, eq=False)
 class Catalog:
     """Star catalog as columns: names, angles in degrees, temperature in kelvin.
 
-    Construction copies the columns into float64 arrays and raises
-    :class:`RangeError` naming the first star with a value out of range.
+    Construction copies the columns into float64 arrays, and the names into a
+    :class:`Names` unless they are one, and raises :class:`RangeError` naming
+    the first star with a value out of range.
     """
 
-    names: Sequence[str]
+    names: Names
     ra_deg: np.ndarray
     dec_deg: np.ndarray
     vmag: np.ndarray
     temp_k: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "names", tuple(self.names))
+        if not isinstance(self.names, Names):
+            object.__setattr__(self, "names", Names.from_strings(self.names))
         for field in _HEADER[1:]:
             col = np.array(getattr(self, field), dtype=float)
             if col.shape != (len(self.names),):
@@ -60,6 +126,17 @@ class Catalog:
             object.__setattr__(self, field, col)
         _check_ranges((self.ra_deg, self.dec_deg, self.vmag, self.temp_k),
                       lambda row: f"star {row} ({self.names[row]})")
+
+    @classmethod
+    def _checked(cls, names: Names, columns: list[np.ndarray]) -> Catalog:
+        """The catalog of names and four float64 columns already range-checked,
+        taken as they are: no copy, no second check."""
+        catalog = object.__new__(cls)
+        object.__setattr__(catalog, "names", names)
+        for field, col in zip(_HEADER[1:], columns):
+            col.setflags(write=False)
+            object.__setattr__(catalog, field, col)
+        return catalog
 
     def __len__(self) -> int:
         return len(self.names)
@@ -75,7 +152,7 @@ class BoostedCatalog:
     D T and ``vmag`` the shifted magnitude m - 10 log10 D.
     """
 
-    names: tuple[str, ...]
+    names: Names
     z1: np.ndarray
     z2: np.ndarray
     doppler: np.ndarray
@@ -127,7 +204,7 @@ def load_catalog(source: str | Path | IO[str]) -> Catalog:
             return load_catalog(fh)
     reader = csv.reader(_numbered(source, 0))
     offset = 0   # physical lines read before reader's first
-    names, blocks = [], []   # blocks: (4, rows) values, range-checked
+    names, blocks = [], []   # each piece's Names and (4, rows) values, range-checked
     try:
         if (header := next(reader, None)) is None:
             raise ParseError(1, "missing header row")
@@ -146,15 +223,20 @@ def load_catalog(source: str | Path | IO[str]) -> Catalog:
                 lines = chain(io.StringIO(text, newline=newline), source)
                 reader = csv.reader(_numbered(lines, offset))
                 piece = _parse_rows(reader, offset, len(header))
-            names += piece[0]
+            names.append(piece[0])
             blocks.append(piece[1])
             offset += len(piece[0])
     except csv.Error as exc:  # such as a field longer than csv.field_size_limit()
         raise ParseError(offset + reader.line_num, str(exc)) from None
-    return Catalog(names, *np.concatenate([np.empty((4, 0)), *blocks], axis=1))
+    # One array per column, not the rows of one (4, stars) block: freeing a 32 MB
+    # block (1M stars) after transform_catalog raises glibc's dynamic mmap
+    # threshold to 32 MB, which keeps render's growing SVG buffer on the heap,
+    # where it is copied as it grows (+40 MB peak RSS measured at 1M stars).
+    columns = [np.concatenate([np.empty(0)] + [block[k] for block in blocks]) for k in range(4)]
+    return Catalog._checked(_joined(names), columns)
 
 
-def _plain_piece(text: str, n_cols: int, offset: int) -> tuple[list[str], np.ndarray] | None:
+def _plain_piece(text: str, n_cols: int, offset: int) -> tuple[Names, np.ndarray] | None:
     """Names and range-checked (4, lines) values of plain lines after line offset, else None.
 
     Plain lines need no csv rule: no quote, CR, NUL or lone surrogate (such as
@@ -176,17 +258,21 @@ def _plain_piece(text: str, n_cols: int, offset: int) -> tuple[list[str], np.nda
     if (not (data[seps] == np.frombuffer(b"," * (n_cols - 1) + b"\n", np.uint8)).all()
             or np.diff(ends, prepend=-1).max() > csv.field_size_limit()):
         return None
-    # Each line's name and its comma, gathered into one text.
-    first = np.concatenate(([0], ends[:-1] + 1))
-    span = seps[:, 0] + 1 - first
-    at = np.repeat(first - np.cumsum(span) + span, span) + np.arange(span.sum())
-    names = list(map(str.strip, data[at].tobytes().decode().split(",")[:-1]))
-    if not all(names):
+    # Each line's name is data[start:stop], stripped as str.strip does.
+    start, stop = np.concatenate(([0], ends[:-1] + 1)), seps[:, 0].copy()
+    for i in np.flatnonzero(_STRIP_EDGE[data[start]] | _STRIP_EDGE[data[stop - 1]]).tolist():
+        name = data[start[i]:stop[i]].tobytes().decode()
+        start[i] += len(name[:len(name) - len(name.lstrip())].encode())
+        stop[i] -= len(name[len(name.rstrip()):].encode())
+    span = stop - start
+    if not (span > 0).all():
         return None
+    names = Names(data[_text.runs(start, span)].tobytes(),
+                  np.concatenate(([0], np.cumsum(span))))
     values = np.full((4, len(names)), _DEFAULT_TEMP_K)
     try:
-        values[:n_cols - 1] = read_decimals(data, seps[:, :-1].ravel() + 1,
-                                            seps[:, 1:].ravel()).reshape(-1, n_cols - 1).T
+        values[:n_cols - 1] = _text.read_decimals(data, seps[:, :-1].ravel() + 1,
+                                                  seps[:, 1:].ravel()).reshape(-1, n_cols - 1).T
     except ValueError:
         return None
     _check_ranges(values, lambda row: f"line {offset + 1 + row}")
@@ -201,7 +287,7 @@ def _numbered(lines, before: int):
         yield text
 
 
-def _parse_rows(reader, offset: int, n_cols: int) -> tuple[list[str], np.ndarray]:
+def _parse_rows(reader, offset: int, n_cols: int) -> tuple[Names, np.ndarray]:
     """Names and (4, rows) values of reader's rows, numbered from offset, range-checked."""
     pad = () if n_cols == len(_HEADER) else (_DEFAULT_TEMP_K,)
     names, lines = [], []   # each row's name and line number
@@ -232,7 +318,7 @@ def _parse_rows(reader, offset: int, n_cols: int) -> tuple[list[str], np.ndarray
         raise
     block = np.reshape(values, (-1, 4)).T
     _check_ranges(block, lambda row: f"line {lines[row]}")
-    return names, block
+    return Names.from_strings(names), block
 
 
 def _normalized(z1r, z1i, z2r, z2i):
@@ -250,33 +336,38 @@ def _normalized(z1r, z1i, z2r, z2i):
 def transform_catalog(catalog: Catalog, chi: Rapidity) -> BoostedCatalog:
     """Boost the whole catalog along +x3 with rapidity chi.
 
-    An order-preserving map over the columns.  It repeats, operation for
-    operation, the per-star chain of :func:`~lorentzsky.sphere.from_polar`,
-    :meth:`MoebiusTransform.dilation` and :func:`~lorentzsky.celestial.doppler`,
-    so every value is bit-identical to that chain's.  Hence libm's pow,
-    hypot and log10 where numpy's vectorised versions round differently.
-    Raises :class:`RangeError` when chi is not finite or the boosted
-    photometry overflows.
+    An order-preserving map over the columns, run over chunks of
+    :data:`~lorentzsky._text.CHUNK` stars into columns allocated once.  It
+    repeats, operation for operation, the per-star chain of
+    :func:`~lorentzsky.sphere.from_polar`, :meth:`MoebiusTransform.dilation`
+    and :func:`~lorentzsky.celestial.doppler`, so every value is bit-identical
+    to that chain's.  Hence libm's pow, hypot and log10 where numpy's
+    vectorised versions round differently.  Raises :class:`RangeError` when
+    chi is not finite or the boosted photometry overflows.
     """
     exp_pos, exp_neg = _exp_rapidity(chi)
-    half = 0.5 * np.radians(90.0 - catalog.dec_deg)
-    phi = np.radians(catalog.ra_deg)
-    s, c = np.sin(half), np.cos(half)
-    # The sine and cosine of one half-angle make a pair within about an ulp of unit
-    # length, far inside _NORM_SKIP, so from_polar's normalization leaves it as is.
     shrink = math.exp(-0.5 * chi)   # the dilation's spinor diag(shrink, 1 / shrink)
-    z1r, z1i, z2r, z2i = _normalized(shrink * (s * np.cos(phi)), shrink * (s * np.sin(phi)),
-                                     (1.0 / shrink) * c, np.zeros_like(c))
-    with np.errstate(over="ignore"):  # overflow is checked below
-        if chi == 0.0:
-            doppler = np.ones_like(c)
-        else:
-            # float_power is libm pow, as Python's x ** 2; np.square rounds differently.
-            doppler = exp_pos * np.float_power(c, 2.0) + exp_neg * np.float_power(s, 2.0)
-        temp_k = doppler * catalog.temp_k
-    if not np.isfinite(temp_k).all():
-        raise RangeError(f"rapidity {chi!r} overflows the boosted temperatures")
-    log_d = np.fromiter(map(math.log10, doppler.tolist()), dtype=float, count=len(doppler))
-    return BoostedCatalog(catalog.names, z1r + 1j * z1i, z2r + 1j * z2i,
-                          doppler, temp_k, catalog.vmag - 10.0 * log_d)
-
+    n = len(catalog)
+    z1, z2 = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
+    doppler, temp_k, vmag = np.empty(n), np.empty(n), np.empty(n)
+    for rows in _text.chunks(n):
+        half = 0.5 * np.radians(90.0 - catalog.dec_deg[rows])
+        phi = np.radians(catalog.ra_deg[rows])
+        s, c = np.sin(half), np.cos(half)
+        # The sine and cosine of one half-angle make a pair within about an ulp of unit
+        # length, far inside _NORM_SKIP, so from_polar's normalization leaves it as is.
+        z1r, z1i, z2r, z2i = _normalized(shrink * (s * np.cos(phi)), shrink * (s * np.sin(phi)),
+                                         (1.0 / shrink) * c, np.zeros_like(c))
+        z1[rows], z2[rows] = z1r + 1j * z1i, z2r + 1j * z2i
+        with np.errstate(over="ignore"):  # overflow is checked below
+            if chi == 0.0:
+                doppler[rows] = 1.0
+            else:
+                # float_power is libm pow, as Python's x ** 2; np.square rounds differently.
+                doppler[rows] = exp_pos * np.float_power(c, 2.0) + exp_neg * np.float_power(s, 2.0)
+            temp_k[rows] = doppler[rows] * catalog.temp_k[rows]
+        if not np.isfinite(temp_k[rows]).all():
+            raise RangeError(f"rapidity {chi!r} overflows the boosted temperatures")
+        log_d = np.fromiter(map(math.log10, doppler[rows].tolist()), dtype=float, count=len(c))
+        vmag[rows] = catalog.vmag[rows] - 10.0 * log_d
+    return BoostedCatalog(catalog.names, z1, z2, doppler, temp_k, vmag)

@@ -136,6 +136,8 @@ def test_block_parse_equals_the_csv_loop_on_a_large_catalog(rng):
 PIECE_EDGES = {
     "non-ASCII name in a plain piece": (HEADER + "Ωmega ★,1,2,3,4\nb,1,2,3,4\n", "", 1 << 18,
                                         False),
+    "names stripped in a plain piece": (HEADER + "\u00a0a\u2003,1,2,3,4\n\tb \x1f,1,2,3,4\n"
+                                        "\u3000Ωmega ★\u0085,1,2,3,4\n", "", 1 << 18, False),
     "last line with no newline": (HEADER + "a,1,2,3,4\nb,5,6,7,8", "", 1 << 18, False),
     "read ends inside a line": (HEADER + "a,1,2,3,4\nlong name,1.5,2.5,3.5,4.5\nb,1,2,3,4\n",
                                 "", 32, False),

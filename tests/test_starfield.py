@@ -46,6 +46,31 @@ def test_single_row_parses_with_expected_colatitude():
     assert to_polar(q).theta == pytest.approx(0.0129154, abs=1e-7)
 
 
+def test_names_are_a_read_only_sequence_of_str():
+    stars = load_catalog(io.StringIO(HEADER + "a,1,2,3,4\n Ωmega ★ ,1,2,3,4\nc,1,2,3,4\n"))
+    names = stars.names
+    assert names == ("a", "Ωmega ★", "c") == names
+    assert names != ("a", "Ωmega ★") and names != ["a", "Ωmega ★", "c"]
+    assert names[np.int64(1)] == names[-2] == "Ωmega ★"
+    assert names[np.argmax([0, 0, 1])] == "c"
+    assert names[1:] == ("Ωmega ★", "c") and names[1:].utf8 is names.utf8
+    assert names[::-2] == ("c", "a") and names[5:1] == ()
+    assert list(names) == ["a", "Ωmega ★", "c"] and names.index("c") == 2
+    assert "c" in names and "b" not in names
+    for bad in (3, -4):
+        with pytest.raises(IndexError):
+            names[bad]
+    with pytest.raises(TypeError):
+        names[0] = "x"
+    with pytest.raises(ValueError):
+        names.offsets[0] = 1
+    same = Catalog(names, [1.0] * 3, [2.0] * 3, [3.0] * 3, [4000.0] * 3)
+    assert same.names is names and transform_catalog(same, LN2).names is names
+    # Any sequence of str, lone surrogates included, round-trips.
+    odd = ("lone \ud800", "", " kept ")
+    assert Catalog(odd, [1.0] * 3, [2.0] * 3, [3.0] * 3, [4000.0] * 3).names == odd
+
+
 def test_temp_column_is_optional():
     stars = load_catalog(io.StringIO("name,ra_deg,dec_deg,vmag\nVega,279.23,38.78,0.03\n"))
     assert stars.temp_k[0] == 5778.0
