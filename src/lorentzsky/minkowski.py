@@ -164,8 +164,13 @@ class LorentzMatrix:
         # (1 + sqrt 3) b00, (1 + sqrt 3)^2 < 7.47: A's residual is carried through B and B's
         # added to the rule for entries of size a00 * b00; a loose factor's tol is a floor.
         carried = self.residual * 7.47 * b[0] * b[0] + other.residual
-        scale = abs(self.entries[0, 0].item() * b[0])
-        tol = max(self.tol, other.tol, _tolerance(scale, product[0, 0].item(), carried))
+        a00 = self.entries[0, 0].item()
+        tol = max(self.tol, other.tol, _tolerance(abs(a00 * b[0]), product[0, 0].item(), carried))
+        # The rounding of entries of size a00 * b00 past the double range bounds nothing; an
+        # overflowing product is refused for its non-finite entries instead.
+        if tol == math.inf and np.isfinite(product).all():
+            raise RangeError(f"product of 0-0 entries {a00!r} and {b[0]!r} is past double "
+                             "precision: its rounding bound overflows a double")
         return LorentzMatrix(product, tol)
 
 

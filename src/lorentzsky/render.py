@@ -69,6 +69,7 @@ _BLACKBODY_RGB = (
 )
 _BLACKBODY_T = np.array([t for t, _ in _BLACKBODY_RGB])
 _BLACKBODY_C = np.array([c for _, c in _BLACKBODY_RGB], dtype=float)
+_BLACKBODY_STEP = np.diff(_BLACKBODY_C, axis=0)   # whole numbers: c1 - c0 exactly
 
 
 @dataclass(frozen=True)
@@ -113,15 +114,19 @@ def _finite(values, name: str) -> np.ndarray:
 def blackbody_rgb(temp_k) -> np.ndarray:
     """Disc colors, uint8 rows (r, g, b), for blackbodies of the given temperatures.
 
-    Linear between the table's samples, rounded half to even as Python's
-    round(), and clamped at the table's ends; finite temperatures only.
+    Linear between the table's samples, which lie 2000 K apart, so that a
+    temperature's interval is read off the spacing rather than searched for;
+    rounded half to even as Python's round(), and clamped at the table's
+    ends; finite temperatures only.
     """
     t = np.clip(_finite(temp_k, "temp_k"), _BLACKBODY_T[0], _BLACKBODY_T[-1])
-    hi = np.clip(np.searchsorted(_BLACKBODY_T, t), 1, len(_BLACKBODY_T) - 1)
-    lo = hi - 1
-    frac = (t - _BLACKBODY_T[lo]) / (_BLACKBODY_T[hi] - _BLACKBODY_T[lo])
-    c0, c1 = _BLACKBODY_C[lo], _BLACKBODY_C[hi]
-    return np.rint(c0 + frac[..., None] * (c1 - c0)).astype(np.uint8)
+    # t - 1000 is exact and the division rounds monotonically, so its floor is never
+    # below the interval, and above it only when t lies just below the sample it rounds to.
+    lo = np.minimum(((t - _BLACKBODY_T[0]) / 2000.0).astype(np.intp), len(_BLACKBODY_T) - 2)
+    lo -= t < _BLACKBODY_T[lo]
+    frac = (t - _BLACKBODY_T[lo]) / 2000.0
+    c0, step = np.take(_BLACKBODY_C, lo, axis=0), np.take(_BLACKBODY_STEP, lo, axis=0)
+    return np.rint(c0 + frac[..., None] * step).astype(np.uint8)
 
 
 def disc_radius_px(vmag):
@@ -262,19 +267,24 @@ def _render_ppm(placed, spec: RenderSpec) -> bytes:
     Each pixel takes the color of the last disc covering it: the largest
     draw index.  The test is monotone in |x + 0.5 - cx| along a row, so a
     disc covers one span per row, whose ends are estimated from
-    cx - 0.5 -+ sqrt(r^2 - dy^2) and settled by the test at the estimate and
-    one pixel outwards.  A span is two 2**k-pixel blocks in the tables of
-    its chunk's band of rows, folded down a level at a time.
+    cx - 0.5 -+ sqrt(r^2 - dy^2).  An estimate within 1e-6 px of a whole
+    number, or on a half-chord below 1e-3 px, can be one pixel off, and only
+    there is the end settled by the test at the estimate and one pixel either
+    side.  Discs are taken in order of their top row: the rows clamped to the
+    image height are whole numbers, and below 65536 rows their 16-bit keys go
+    through numpy's stable radix sort.  A span is two 2**k-pixel blocks in
+    the tables of its chunk's band of rows, folded down a level at a time.
     """
     w, h = spec.width, spec.height
     x, y, rad, rgb = placed
     # Per pixel, 1 + the draw index of its disc, 0 for the background; int32,
     # as 2**31 discs would need > 30 GB of catalog.
     owner = np.zeros(h * w, dtype=np.int32)
-    top = np.maximum(0.0, np.floor(y - rad - 1))
+    # Discs whose top is clamped to h lie below the image and draw nothing.
+    top = np.minimum(np.maximum(0.0, np.floor(y - rad - 1)), h).astype(np.min_scalar_type(h))
     order = np.argsort(top, kind="stable").astype(np.int32)
     tops, start = top[order], 0
-    while start < len(order) and tops[start] < h:  # discs below the image draw nothing
+    while start < len(order) and tops[start] < h:
         b0 = int(tops[start])
         stop = min(start + _CHUNK, int(np.searchsorted(tops, b0 + _BAND)))
         disc, py = order[start:stop], tops[start:stop, None] + _ROWS
@@ -285,11 +295,21 @@ def _render_ppm(placed, spec: RenderSpec) -> bytes:
         cx, rr, drawn = (np.repeat(a, per_disc) for a in (x[disc], rr[:, 0], disc + 1))
         py, dy2 = py[rows], dy2[rows]
         s = np.sqrt(rr - dy2)
-        lo, hi = np.ceil(cx - 0.5 - s), np.floor(cx - 0.5 + s)
-        lo = np.where((lo - 0.5 - cx) ** 2 + dy2 <= rr, lo - 1,
-                      np.where((lo + 0.5 - cx) ** 2 + dy2 <= rr, lo, lo + 1))
-        hi = np.where((hi + 1.5 - cx) ** 2 + dy2 <= rr, hi + 1,
-                      np.where((hi + 0.5 - cx) ** 2 + dy2 <= rr, hi, hi - 1))
+        left, right = cx - 0.5 - s, cx - 0.5 + s
+        lo, hi = np.ceil(left), np.floor(right)
+        # The test agrees with an end estimate 1e-6 px or more from a whole number on a
+        # half-chord s of 1e-3 px or more: the pixels either side of it lie at least
+        # 2 s 1e-6 ~ 2e-9 px^2 inside or outside r^2, while the fill test rounds by
+        # < 1e-13 px^2 (r <= 6; x + 0.5 - cx is exact once |cx| >= 15) and the estimate
+        # by < 1e-9 px (|cx| < 2^21).  Only the other spans, near a rim tie, are settled
+        # by the test at the estimate and one pixel either side.
+        tie = np.flatnonzero((s < 1e-3) | (np.abs(lo - left - 0.5) > 0.5 - 1e-6)
+                             | (np.abs(right - hi - 0.5) > 0.5 - 1e-6))
+        t0, t1, c, d2, r2 = lo[tie], hi[tie], cx[tie], dy2[tie], rr[tie]
+        lo[tie] = np.where((t0 - 0.5 - c) ** 2 + d2 <= r2, t0 - 1,
+                           np.where((t0 + 0.5 - c) ** 2 + d2 <= r2, t0, t0 + 1))
+        hi[tie] = np.where((t1 + 1.5 - c) ** 2 + d2 <= r2, t1 + 1,
+                           np.where((t1 + 0.5 - c) ** 2 + d2 <= r2, t1, t1 - 1))
         lo, hi = np.maximum(lo, 0.0), np.minimum(hi, w - 1.0)
         keep = lo <= hi
         lo, n1, drawn = lo[keep], (hi[keep] - lo[keep]).astype(np.intp), drawn[keep]

@@ -254,6 +254,15 @@ def test_inverse_carries_the_residual_it_validated_with():
     assert _tolerance(2.0, 3.0, math.inf) == _tolerance(2.0, 3.0) < 1e-8
 
 
+@pytest.mark.parametrize("a, b", [(boost_x(188.0), boost_x(188.0).inverse()),
+                                  (boost_x(200.0), boost_x(200.0))])
+def test_product_whose_rounding_bound_overflows_names_the_lost_precision(a, b):
+    # a00 * b00 * |p00| ulp is past the double range: A A^-1's rounding noise from chi ~ 188
+    # on, a product's own 0-0 entry of cosh 400 at chi = 200 each
+    with pytest.raises(RangeError, match="past double precision: its rounding bound overflows"):
+        a @ b
+
+
 @pytest.mark.parametrize("chi", [711.0, -711.0, 800.0, -800.0, 1e308, 356.0, -356.0, 400.0,
                                  700.0])
 def test_boost_overflow_raises_range_error_naming_the_rapidity(chi):

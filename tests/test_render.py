@@ -170,8 +170,13 @@ def test_blackbody_equals_the_table_loop():
                 frac = (temp_k - t0) / (t1 - t0)
                 return tuple(int(round(a + frac * (b - a))) for a, b in zip(c0, c1))
 
-    temps = np.concatenate([np.random.default_rng(5).uniform(0.0, 40_000.0, 5000),
-                            [t for t, _ in table], np.arange(500.0, 32_000.0, 250.0)])
+    knots = np.array([t for t, _ in table])
+    # every knot and the doubles either side of it, where the interval index computed
+    # from the 2000 K spacing could round onto the wrong side; and past both ends
+    temps = np.concatenate([np.random.default_rng(5).uniform(0.0, 40_000.0, 5000), knots,
+                            np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
+                            np.arange(500.0, 32_000.0, 250.0),
+                            [-1e300, -40.0, 0.0, 999.0, 31_001.0, 1e6, 1e300]])
     assert [tuple(c) for c in blackbody_rgb(temps).tolist()] == [scalar(t) for t in temps]
 
 
@@ -290,6 +295,46 @@ def test_ppm_raster_settles_rim_ties():
         alone = (np.array([8.5]), np.array([8.5]), np.array([float(r)]),
                  np.full((1, 3), 255, dtype=np.uint8))
         assert _render_ppm(alone, small) == _ppm_pixel_painter(alone, small)
+
+
+def test_ppm_raster_settles_spans_near_a_rim_tie():
+    # The raster keeps a span end's sqrt estimate unless the estimate lies within 1e-6 px
+    # of a pixel edge or the row's half-chord s is below 1e-3 px; these discs make such
+    # spans, one disc per 16 px cell, with radii 1 and 6 and exact half- and
+    # quarter-pixel centres besides.
+    near = [0.0, 1e-9, -1e-9, 3e-8, -3e-8, 1e-7, -1e-7]
+    discs = []
+    for r in (1.0, 6.0):
+        for f in (0.5, 0.25, 0.75):
+            # through a half-pixel centre row, ends at cx - 0.5 -+ r: near an edge for f = 0.5
+            discs += [(f + d, 0.5, r) for d in near] + [(0.5, f + d, r) for d in near]
+            # the top row's half-chord is sqrt(2 r e) or less: 0 to 3.5e-4 px, and 1.1e-3
+            discs += [(f, 0.5 + r - e, r) for e in (0.0, 1e-12, 1e-9, 1e-8, 1e-7)]
+        for dy in np.arange(0.5, r, 0.25):
+            # rows off the centre: set cx so that the left end lies near a pixel edge
+            half_chord = math.sqrt(r * r - dy * dy)
+            discs += [(0.5 + half_chord + d - 1, 0.5 + dy, r) for d in near]
+    n = len(discs)
+    cells = math.ceil(math.sqrt(n))
+    spec = RenderSpec(format="ppm", width=16 * cells, height=16 * cells)
+    fx, fy, rad = (np.array(col) for col in zip(*discs))
+    placed = (16.0 * (np.arange(n) % cells) + 8.0 + fx, 16.0 * (np.arange(n) // cells) + 8.0 + fy,
+              rad, np.random.default_rng(3).integers(1, 256, (n, 3), dtype=np.uint8))
+    img = _render_ppm(placed, spec)
+    assert img == _ppm_pixel_painter(placed, spec) == _ppm_disc_loop(placed, spec)
+    # tall images: the bottom rows' discs and discs whose tops lie below the image, in
+    # the 16-bit sort keys of 4096 rows and the wider keys past 65535 rows
+    rng = np.random.default_rng(4)
+    for h in (4096, 65_552):
+        spec = RenderSpec(format="ppm", width=16, height=h)
+        y = np.concatenate([rng.uniform(h - 20.0, h + 20.0, 60), rng.uniform(-8.0, 40.0, 20),
+                            h + 7.0 + rng.uniform(0.0, 1e5, 20)])
+        y[::3] = np.round(y[::3] * 4.0) / 4.0
+        placed = (rng.choice([0.5, 8.25, 8.5, 15.75], 100), y, rng.choice([1.0, 3.5, 6.0], 100),
+                  rng.integers(1, 256, (100, 3), dtype=np.uint8))
+        img = _render_ppm(placed, spec)
+        assert img == _ppm_pixel_painter(placed, spec) == _ppm_disc_loop(placed, spec)
+        assert _ppm_rgb(img, spec)[h - 7:].any()
 
 
 def test_ppm_raster_over_many_chunks_with_shared_tops(rng):
