@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotNull, NotOrthochronous, OriginDirectionUndefined, RangeError
-from .minkowski import FourVector, LorentzMatrix, Rapidity, _matmul, _require_finite
+from .minkowski import FourVector, LorentzMatrix, Rapidity, _matmul, _number, _require_finite
 from .sphere import MoebiusTransform, SpherePoint, _affine_pair, inverse_stereo, stereo_project
 from .spin import SL2CElement
 
@@ -32,8 +32,8 @@ class BondiPoint:
     q: SpherePoint
 
     def __post_init__(self):
-        object.__setattr__(self, "u", float(self.u))
-        object.__setattr__(self, "r", float(self.r))
+        object.__setattr__(self, "u", _number(float, "u", self.u))
+        object.__setattr__(self, "r", _number(float, "r", self.r))
         if not (math.isfinite(self.u) and math.isfinite(self.r)):
             raise RangeError("u and r must be finite")
         if self.r < 0:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -31,7 +30,7 @@ class StandardDecomposition:
     def __post_init__(self):
         for name in ("r1", "r2"):
             r = np.array(getattr(self, name), dtype=float)
-            if not _is_rotation(r, _ROTATION_TOL):
+            if r.shape != (3, 3) or not _is_rotation(r.ravel().tolist(), _ROTATION_TOL):
                 raise RangeError(f"{name} must be a 3x3 rotation with det +1")
             r.setflags(write=False)
             object.__setattr__(self, name, r)
@@ -39,45 +38,49 @@ class StandardDecomposition:
             raise RangeError(f"chi must be non-negative and finite, got {self.chi!r}")
 
 
-def _cross(a: Sequence[float], b: Sequence[float]) -> list[float]:
-    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+def _factors(lam: LorentzMatrix) -> np.ndarray:
+    """r1's rows, chi and r2's rows, computed once and kept on ``lam`` (immutable) as one
+    read-only array of 19 floats; an error is not kept, but raised again on every call."""
+    factors = getattr(lam, "_factors", None)
+    if factors is None:
+        factors = _factorize(lam.entries.ravel().tolist())
+        object.__setattr__(lam, "_factors", factors)
+    return factors
 
 
-def _unit(v: Sequence[float]) -> list[float]:
-    norm = math.hypot(*v)
-    return [x / norm for x in v]
-
-
-def _frame_taking_e1_to(n: list[float]) -> tuple[list[float], ...]:
-    """Columns of a rotation whose first column is the unit vector n.
-
-    The second column is Gram-Schmidt on the coordinate axis least aligned
-    with n, whose residual has norm at least sqrt(2/3); the third column is
-    n x (second column), so det is +1.
-    """
-    k = min(range(3), key=lambda i: abs(n[i]))
-    c1 = _unit([float(i == k) - n[k] * x for i, x in enumerate(n)])
-    return n, c1, _cross(n, c1)
-
-
-def _factors(lam: LorentzMatrix) -> tuple[tuple[list[float], ...], float, list[list[float]]]:
-    """r1's columns (n, u, v), chi and r2's rows (f1, f2, f3) as floats: standard_decompose."""
-    flat = lam.entries.ravel().tolist()
-    norm_a = math.hypot(*flat[4:13:4])  # |a|, a = -lam[1:, 0] = -flat[4:13:4]
+def _factorize(flat: list[float]) -> np.ndarray:
+    """:func:`_factors` of the 16 entries.  r1's columns are n = a / |a|; u, Gram-Schmidt on the
+    coordinate axis least aligned with n, whose residual has norm at least sqrt(2/3); n x u, so
+    det r1 = +1.  r2's rows are f, g and f x g."""
+    _, _, _, _, a0, l00, l01, l02, a1, l10, l11, l12, a2, l20, l21, l22 = flat  # a = -(a0, a1, a2)
+    norm_a = math.hypot(a0, a1, a2)
     if norm_a <= _PURE_ROTATION_THRESHOLD:
-        r1_cols, chi = ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]), 0.0
+        n0, n1, n2, u0, u1, u2, chi = 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0
     else:
-        r1_cols, chi = _frame_taking_e1_to([-x / norm_a for x in flat[4:13:4]]), math.asinh(norm_a)
-    # rows 0 and 1 of r1^T lam[1:, 1:], column j of lam[1:, 1:] being flat[5 + j::4]
-    row0, row1 = ([c[0] * flat[5 + j] + c[1] * flat[9 + j] + c[2] * flat[13 + j] for j in range(3)]
-                  for c in r1_cols[:2])
-    f1 = _unit(row0)
-    dot = row1[0] * f1[0] + row1[1] * f1[1] + row1[2] * f1[2]
-    row1 = [x - dot * y for x, y in zip(row1, f1)]
-    if not any(row1):  # past chi ~ 36 row 1 is all rounding, and can be parallel to row 0
+        n0, n1, n2, chi = -a0 / norm_a, -a1 / norm_a, -a2 / norm_a, math.asinh(norm_a)
+        n = (n0, n1, n2)
+        nk = min(n, key=abs)  # the first of least magnitude, at n.index(nk)
+        u = [0.0 - nk * n0, 0.0 - nk * n1, 0.0 - nk * n2]
+        u[n.index(nk)] = 1.0 - nk * nk
+        norm = math.hypot(*u)
+        u0, u1, u2 = u[0] / norm, u[1] / norm, u[2] / norm
+    # rows 0 and 1 of r1^T lam[1:, 1:], the block whose entry (i, j) is lij
+    p0, q0 = n0 * l00 + n1 * l10 + n2 * l20, u0 * l00 + u1 * l10 + u2 * l20
+    p1, q1 = n0 * l01 + n1 * l11 + n2 * l21, u0 * l01 + u1 * l11 + u2 * l21
+    p2, q2 = n0 * l02 + n1 * l12 + n2 * l22, u0 * l02 + u1 * l12 + u2 * l22
+    norm = math.hypot(p0, p1, p2)
+    f0, f1, f2 = p0 / norm, p1 / norm, p2 / norm
+    dot = q0 * f0 + q1 * f1 + q2 * f2
+    q0, q1, q2 = q0 - dot * f0, q1 - dot * f1, q2 - dot * f2
+    if not (q0 or q1 or q2):  # past chi ~ 36 row 1 is all rounding, and can be parallel to row 0
         raise RangeError(f"rapidity {chi!r} is past double precision: r2 is lost to rounding")
-    f2 = _unit(row1)
-    return r1_cols, chi, [f1, f2, _cross(f1, f2)]
+    norm = math.hypot(q0, q1, q2)
+    g0, g1, g2 = q0 / norm, q1 / norm, q2 / norm
+    factors = np.array([n0, u0, n1 * u2 - n2 * u1, n1, u1, n2 * u0 - n0 * u2, n2, u2,
+                        n0 * u1 - n1 * u0, chi, f0, f1, f2, g0, g1, g2,
+                        f1 * g2 - f2 * g1, f2 * g0 - f0 * g2, f0 * g1 - f1 * g0])
+    factors.setflags(write=False)
+    return factors
 
 
 def standard_decompose(lam: LorentzMatrix) -> StandardDecomposition:
@@ -95,8 +98,14 @@ def standard_decompose(lam: LorentzMatrix) -> StandardDecomposition:
     """
     if classify_component(lam) is not ComponentLabel.PROPER_ORTHOCHRONOUS:
         raise WrongComponent("standard decomposition needs a proper orthochronous matrix")
-    r1_cols, chi, r2_rows = _factors(lam)
-    return StandardDecomposition(np.array(r1_cols).T, chi, np.array(r2_rows))
+    factors = _factors(lam)
+    flat = factors.tolist()
+    for name, rows in (("r1", flat[:9]), ("r2", flat[10:])):
+        if not _is_rotation(rows, _ROTATION_TOL):
+            raise RangeError(f"{name} must be a 3x3 rotation with det +1")
+    d = object.__new__(StandardDecomposition)  # checked above in floats: read-only views, no copy
+    d.__dict__.update(r1=factors[:9].reshape(3, 3), chi=flat[9], r2=factors[10:].reshape(3, 3))
+    return d
 
 
 def recompose(d: StandardDecomposition) -> LorentzMatrix:

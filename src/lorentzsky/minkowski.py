@@ -32,6 +32,14 @@ Rapidity = float
 _COMPONENTS = ("x0", "x1", "x2", "x3")
 
 
+def _number(kind: type, name: str, x: object):
+    """kind(x), for kind float or complex; RangeError naming ``name`` when x is not a number."""
+    try:
+        return kind(x)
+    except (TypeError, ValueError):
+        raise RangeError(f"{name} must be a number, got {x!r}") from None
+
+
 def _require_finite(x: Sequence[float]) -> None:
     """RangeError naming the first non-finite component of (x0, x1, x2, x3)."""
     if math.isfinite(sum(x)):  # else a component is not finite, or the sum overflowed
@@ -51,9 +59,9 @@ class FourVector:
     x3: float
 
     def __post_init__(self):
-        _require_finite((self.x0, self.x1, self.x2, self.x3))
         for name in _COMPONENTS:
-            object.__setattr__(self, name, float(getattr(self, name)))
+            object.__setattr__(self, name, _number(float, name, getattr(self, name)))
+        _require_finite((self.x0, self.x1, self.x2, self.x3))
 
     @classmethod
     def from_array(cls, arr: Iterable[float]) -> "FourVector":
@@ -107,8 +115,8 @@ class LorentzMatrix:
     residual exceeds ``tol``, when M00 is 0, or when |det|, as read by
     :func:`_det`, is not 1 within ``tol`` (once ``tol`` reaches 1, as a
     boost's does from chi ~ 11.05, that check no longer bounds det away
-    from 0), and :class:`RangeError` when ``tol`` is not positive and finite.
-    Instances are immutable.
+    from 0), and :class:`RangeError` when ``tol`` is not positive and finite
+    or an entry is not a number.  Instances are immutable, and keep their label and factors.
     """
 
     entries: np.ndarray
@@ -121,7 +129,10 @@ class LorentzMatrix:
         return np.array_equal(self.entries, other.entries)
 
     def __post_init__(self):
-        m = np.array(self.entries, dtype=float)
+        try:
+            m = np.array(self.entries, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise RangeError(f"matrix entries must be real numbers: {exc}") from None
         if m.shape != (4, 4):
             raise RangeError(f"expected a 4x4 matrix, got shape {m.shape}")
         flat = m.ravel().tolist()
@@ -195,7 +206,7 @@ def _tolerance(scale: float, m00: float, carried: float = 0.0) -> float:
 def validate_lorentz(m: np.ndarray | Iterable[Iterable[float]],
                      tol: float = DEFAULT_TOL) -> LorentzMatrix:
     """Accept ``m`` as a Lorentz matrix or raise :class:`NotLorentz`."""
-    return LorentzMatrix(np.asarray(m, dtype=float), tol)
+    return LorentzMatrix(m, tol)
 
 
 def _triple(a0: float, a1: float, a2: float, b0: float, b1: float, b2: float,
@@ -225,8 +236,12 @@ def classify_component(lam: LorentzMatrix) -> ComponentLabel:
     (cyclically), (b x c) . w = |b x c|^2 / det m[1:, 1:].  For the i with the smallest
     |m[i, 0]|, |w| >= sqrt(2/3) (row 1 of a boost along x1 has w = (1/cosh chi, 0, 0)), so
     the sign holds to ~cosh(chi) ulp relative: the label holds for rotation . boost .
-    rotation products to chi ~ 36, where the entries' own rounding reaches it.
+    rotation products to chi ~ 36, where the entries' own rounding reaches it.  The label is
+    kept on ``lam``, which is immutable.
     """
+    label = getattr(lam, "_component", None)
+    if label is not None:
+        return label
     flat = lam.entries.ravel().tolist()
     x, y, z = abs(flat[4]), abs(flat[8]), abs(flat[12])
     i = 4 if x <= y and x <= z else 8 if y <= z else 12  # row i of m starts at flat[i]
@@ -235,10 +250,13 @@ def classify_component(lam: LorentzMatrix) -> ComponentLabel:
     w_bc = _triple(flat[i + 1] - r * flat[1], flat[i + 2] - r * flat[2], flat[i + 3] - r * flat[3],
                    flat[j + 1], flat[j + 2], flat[j + 3], flat[k + 1], flat[k + 2], flat[k + 3])
     if (w_bc > 0) == orthochronous:  # proper
-        return (ComponentLabel.PROPER_ORTHOCHRONOUS if orthochronous
-                else ComponentLabel.PROPER_ANTICHRONOUS)
-    return (ComponentLabel.IMPROPER_ORTHOCHRONOUS if orthochronous
-            else ComponentLabel.IMPROPER_ANTICHRONOUS)
+        label = (ComponentLabel.PROPER_ORTHOCHRONOUS if orthochronous
+                 else ComponentLabel.PROPER_ANTICHRONOUS)
+    else:
+        label = (ComponentLabel.IMPROPER_ORTHOCHRONOUS if orthochronous
+                 else ComponentLabel.IMPROPER_ANTICHRONOUS)
+    object.__setattr__(lam, "_component", label)
+    return label
 
 
 @dataclass(frozen=True)
@@ -350,17 +368,21 @@ def boost_axis(n: Iterable[float], chi: Rapidity) -> LorentzMatrix:
     return LorentzMatrix(m, _tolerance(ch, ch))
 
 
-def _is_rotation(r: np.ndarray, tol: float) -> bool:
-    """3x3, orthogonal within ``tol`` (max-norm), and det > 0 by the triple product."""
-    flat = r.ravel().tolist()   # r^T's entries, r's, are below 1e154 where their |sum| is
-    return (r.shape == (3, 3) and _triple(*flat) > 0
-            and float(np.abs(_matmul(r.T, r, sum(map(abs, flat))) - _I3).max()) <= tol)
+def _is_rotation(r: Sequence[float], tol: float) -> bool:
+    """The 3x3 matrix with rows r[0:3], r[3:6], r[6:9] has det > 0 by the triple product, and
+    each entry of r^T r - I (symmetric bit for bit) is at most ``tol``.  In Python floats an
+    overflowing product reads inf with no warning, and a nan refuses."""
+    a0, a1, a2, b0, b1, b2, c0, c1, c2 = r
+    gram = (a0 * a0 + b0 * b0 + c0 * c0 - 1.0, a1 * a1 + b1 * b1 + c1 * c1 - 1.0,
+            a2 * a2 + b2 * b2 + c2 * c2 - 1.0, a0 * a1 + b0 * b1 + c0 * c1,
+            a0 * a2 + b0 * b2 + c0 * c2, a1 * a2 + b1 * b2 + c1 * c2)
+    return _triple(*r) > 0 and all(abs(e) <= tol for e in gram)
 
 
 def rotation_embed(r: np.ndarray) -> LorentzMatrix:
     """Embed a 3x3 rotation as a spatial Lorentz transformation."""
     r = np.asarray(r, dtype=float)
-    if not _is_rotation(r, DEFAULT_TOL):
+    if r.shape != (3, 3) or not _is_rotation(r.ravel().tolist(), DEFAULT_TOL):
         raise RangeError("expected a 3x3 rotation matrix with det +1")
     m = np.eye(4)
     m[1:, 1:] = r

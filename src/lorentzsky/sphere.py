@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InfinityPoint, NotOnSphere, RangeError
+from .minkowski import _number
 from .spin import SL2CElement
 
 #: Two points are identified when |z1 w2 - z2 w1| is below this.
@@ -31,8 +32,8 @@ class PolarAngles:
     phi: float
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", float(self.theta))
-        object.__setattr__(self, "phi", float(self.phi))
+        object.__setattr__(self, "theta", _number(float, "theta", self.theta))
+        object.__setattr__(self, "phi", _number(float, "phi", self.phi))
         if not -1e-12 <= self.theta <= math.pi + 1e-12:
             raise RangeError(f"theta = {self.theta} outside [0, pi]")
         if not -1e-12 <= self.phi < 2.0 * math.pi + 1e-12:
@@ -58,7 +59,7 @@ class SpherePoint:
     z2: complex
 
     def __post_init__(self):
-        z1, z2 = complex(self.z1), complex(self.z2)
+        z1, z2 = _number(complex, "z1", self.z1), _number(complex, "z2", self.z2)
         norm = math.hypot(abs(z1), abs(z2))
         if norm == 0.0 or not math.isfinite(norm):
             raise RangeError("homogeneous coordinates must be finite and not both zero")

@@ -18,8 +18,8 @@ import numpy as np
 
 from .decompose import _factors
 from .errors import NotHermitian, NotLorentz, RangeError, WrongComponent
-from .minkowski import (DEFAULT_TOL, ComponentLabel, FourVector, LorentzMatrix, _tolerance,
-                        _unit_axis, classify_component)
+from .minkowski import (DEFAULT_TOL, ComponentLabel, FourVector, LorentzMatrix, _number,
+                        _tolerance, _unit_axis, classify_component)
 
 _HERMITIAN_TOL = 1e-12
 _SU2_NORM_TOL = 1e-10
@@ -53,7 +53,7 @@ class _Unimodular:
 
     def __post_init__(self):
         scalar = self._scalar
-        a, b, c, d = scalar(self.a), scalar(self.b), scalar(self.c), scalar(self.d)
+        a, b, c, d = map(_number, (scalar,) * 4, "abcd", (self.a, self.b, self.c, self.d))
         ad, bc = a * d, b * c  # each rounds by ~ulp of its size; "not" refuses nan and inf
         tol = DEFAULT_TOL * max(1.0, abs(ad) + abs(bc))
         if not abs(ad - bc - 1.0) <= tol < math.inf:
@@ -100,8 +100,8 @@ class SU2Element:
     beta: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", complex(self.alpha))
-        object.__setattr__(self, "beta", complex(self.beta))
+        object.__setattr__(self, "alpha", _number(complex, "alpha", self.alpha))
+        object.__setattr__(self, "beta", _number(complex, "beta", self.beta))
         norm = abs(self.alpha) * abs(self.alpha) + abs(self.beta) * abs(self.beta)  # may be inf
         if not abs(norm - 1.0) <= _SU2_NORM_TOL:  # also refuses nan
             raise RangeError(f"|alpha|^2 + |beta|^2 = {norm} is not 1 within {_SU2_NORM_TOL}")
@@ -252,9 +252,9 @@ def lift_lorentz_to_sl2c(lam: LorentzMatrix) -> SL2CElement:
     """
     if classify_component(lam) is not ComponentLabel.PROPER_ORTHOCHRONOUS:
         raise WrongComponent("only proper orthochronous matrices have a spinor lift")
-    (n, u, v), chi, (f1, f2, f3) = _factors(lam)
-    a1, b1, c1, d1 = _rotation_cover(zip(u, v, n))   # rows of r1 Q, whose columns are u, v, n
-    a2, b2, c2, d2 = _rotation_cover((f2, f3, f1))   # rows of Q^T r2
+    n0, u0, v0, n1, u1, v1, n2, u2, v2, chi, *r2 = _factors(lam).tolist()
+    a1, b1, c1, d1 = _rotation_cover(((u0, v0, n0), (u1, v1, n1), (u2, v2, n2)))  # r1 Q's rows
+    a2, b2, c2, d2 = _rotation_cover((r2[3:6], r2[6:], r2[:3]))   # rows of Q^T r2
     em, ep = math.exp(-0.5 * chi), math.exp(0.5 * chi)
     a1, b1, c1, d1 = a1 * em, b1 * ep, c1 * em, d1 * ep
     return _canonical_sign(a1 * a2 + b1 * c2, a1 * b2 + b1 * d2,

@@ -132,7 +132,21 @@ SITES = {
     "render_spec_both_narrow": lambda: RenderSpec(width=16, height=16, hemisphere="both"),
     "blackbody_nan": lambda: blackbody_rgb(math.nan),
     "disc_radius_nan": lambda: disc_radius_px(math.nan),
+    # non-numbers, which float(), complex() or numpy refused with a TypeError or ValueError
+    "four_vector_text": lambda: FourVector("x", 0, 0, 0),
+    "four_vector_none": lambda: FourVector(0, 0, 0, None),
+    "polar_text": lambda: PolarAngles("a", 0),
+    "bondi_text": lambda: BondiPoint("a", 1.0, Q),
+    "sphere_point_text": lambda: SpherePoint(1, "a"),
+    "sl2c_text": lambda: SL2CElement("a", 0, 0, 1),
+    "su2_none": lambda: SU2Element(1.0, None),
+    "lorentz_text": lambda: validate_lorentz([["a"] * 4] * 4),
 }
+
+# the field each non-number site names
+NAMED_FIELDS = {"four_vector_text": "x0", "four_vector_none": "x3", "polar_text": "theta",
+                "bondi_text": "u", "sphere_point_text": "z2", "sl2c_text": "a",
+                "su2_none": "beta", "lorentz_text": "entries"}
 
 
 # the sites whose check raises the error its other inputs already raise, not a RangeError
@@ -162,3 +176,9 @@ def test_element_checks_raise_lorentzsky_errors(site):
         return
     assert isinstance(exc_info.value, RangeError)
     assert isinstance(exc_info.value, ValueError)
+
+
+@pytest.mark.parametrize("site", sorted(NAMED_FIELDS))
+def test_non_numbers_name_their_field(site):
+    with pytest.raises(RangeError, match=rf"\b{NAMED_FIELDS[site]}\b"):
+        SITES[site]()
