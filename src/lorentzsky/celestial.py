@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotNull, NotOrthochronous, OriginDirectionUndefined, RangeError
-from .minkowski import FourVector, LorentzMatrix, Rapidity, _matmul, _number, _require_finite
-from .sphere import MoebiusTransform, SpherePoint, _affine_pair, inverse_stereo, stereo_project
+from .minkowski import (FourVector, LorentzMatrix, Rapidity, _finite_number, _matmul, _number,
+                        _require_finite)
+from .sphere import MoebiusTransform, SpherePoint, _affine_pair, _stereo_project, inverse_stereo
 from .spin import SL2CElement
 
 _NULL_TOL = 1e-9
@@ -32,10 +33,8 @@ class BondiPoint:
     q: SpherePoint
 
     def __post_init__(self):
-        object.__setattr__(self, "u", _number(float, "u", self.u))
-        object.__setattr__(self, "r", _number(float, "r", self.r))
-        if not (math.isfinite(self.u) and math.isfinite(self.r)):
-            raise RangeError("u and r must be finite")
+        object.__setattr__(self, "u", _finite_number("u", self.u))
+        object.__setattr__(self, "r", _finite_number("r", self.r))
         if self.r < 0:
             raise RangeError("r must be non-negative")
 
@@ -44,7 +43,7 @@ def _bondi(x0: float, x1: float, x2: float, x3: float) -> BondiPoint:
     r = math.hypot(x1, x2, x3)   # no square to overflow or underflow
     if r <= _ORIGIN_EPS:
         raise OriginDirectionUndefined("the spatial origin has no direction")
-    return BondiPoint(x0 + r, r, stereo_project(x1, x2, x3, r))
+    return BondiPoint(x0 + r, r, _stereo_project(x1, x2, x3, r))
 
 
 def _inertial(b: BondiPoint) -> tuple[float, float, float, float]:
@@ -118,9 +117,8 @@ def act_asymptotic(s: SL2CElement) -> AsymptoticAction:
 
 
 def _exp_rapidity(chi: Rapidity) -> tuple[float, float]:
-    """(e^chi, e^-chi); RangeError when chi is not finite or either overflows."""
-    if not math.isfinite(chi):
-        raise RangeError(f"rapidity must be finite, got {chi!r}")
+    """(e^chi, e^-chi); RangeError when chi is not a finite number or either overflows."""
+    chi = _finite_number("rapidity", chi)
     try:
         return math.exp(chi), math.exp(-chi)
     except OverflowError:
@@ -135,6 +133,7 @@ def aberrate(chi: Rapidity, theta: float) -> float:
     fixed points.  theta is the angle between the boost direction and the
     line of sight to the source.
     """
+    theta = _number(float, "theta", theta)
     if not 0.0 <= theta <= math.pi:
         raise RangeError(f"theta = {theta} outside [0, pi]")
     exp_neg = _exp_rapidity(chi)[1]
@@ -152,6 +151,7 @@ def doppler(chi: Rapidity, theta: float) -> float:
     the half-angle form e^chi cos^2(theta/2) + e^-chi sin^2(theta/2),
     which has no cancellation and is manifestly positive.
     """
+    theta = _number(float, "theta", theta)
     if not 0.0 <= theta <= math.pi:
         raise RangeError(f"theta = {theta} outside [0, pi]")
     exp_pos, exp_neg = _exp_rapidity(chi)

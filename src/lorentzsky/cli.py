@@ -25,8 +25,8 @@ import numpy as np
 from . import _text
 from .celestial import aberrate, doppler
 from .decompose import standard_decompose
-from .errors import LorentzSkyError, RangeError
-from .minkowski import DEFAULT_TOL, LorentzMatrix, classify_component, validate_lorentz
+from .errors import LorentzSkyError
+from .minkowski import LorentzMatrix, classify_component, validate_lorentz
 from .render import RenderSpec, _FORMATS, _HEMISPHERES, _PROJECTIONS, render
 from .sphere import MoebiusTransform
 from .spin import SL2CElement, lift_lorentz_to_sl2c
@@ -121,9 +121,6 @@ def _mobius(payload: Any) -> str:
     if not isinstance(payload, dict):
         raise LorentzSkyError("expected a JSON object with keys a, b, c, d, points")
     coeffs = {k: _complex_from_json(payload.get(k), k) for k in "abcd"}
-    det = coeffs["a"] * coeffs["d"] - coeffs["b"] * coeffs["c"]
-    if not abs(det - 1.0) <= DEFAULT_TOL:  # absolute, as for JSON matrices
-        raise RangeError(f"determinant {det} is not 1 within {DEFAULT_TOL}")
     mob = MoebiusTransform(SL2CElement(**coeffs))  # a ValueError exits 1 in cli_main
     points = payload.get("points")
     if not isinstance(points, list):

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RangeError, WrongComponent
-from .minkowski import (ComponentLabel, LorentzMatrix, Rapidity, _boost_terms, _is_rotation,
-                        _tolerance, classify_component)
+from .minkowski import (ComponentLabel, LorentzMatrix, Rapidity, _array, _boost_terms,
+                        _is_rotation, _number, classify_component)
 
 _ROTATION_TOL = 1e-10
 _PURE_ROTATION_THRESHOLD = 1e-12
@@ -29,11 +29,12 @@ class StandardDecomposition:
 
     def __post_init__(self):
         for name in ("r1", "r2"):
-            r = np.array(getattr(self, name), dtype=float)
+            r = _array(float, name, getattr(self, name))
             if r.shape != (3, 3) or not _is_rotation(r.ravel().tolist(), _ROTATION_TOL):
                 raise RangeError(f"{name} must be a 3x3 rotation with det +1")
             r.setflags(write=False)
             object.__setattr__(self, name, r)
+        object.__setattr__(self, "chi", _number(float, "chi", self.chi))
         if not 0.0 <= self.chi < math.inf:
             raise RangeError(f"chi must be non-negative and finite, got {self.chi!r}")
 
@@ -109,14 +110,14 @@ def standard_decompose(lam: LorentzMatrix) -> StandardDecomposition:
 
 
 def recompose(d: StandardDecomposition) -> LorentzMatrix:
-    """Closed form of embed(r1) . boost_x(chi) . embed(r2), checked with boost_x's tolerance."""
+    """Closed form of embed(r1) . boost_x(chi) . embed(r2)."""
     ch, sh = _boost_terms(d.chi)
     m = np.empty((4, 4))
     m[0, 0] = ch
     m[0, 1:] = -sh * d.r2[0]
     m[1:, 0] = -sh * d.r1[:, 0]
     m[1:, 1:] = d.r1 @ (np.array([[ch], [1.0], [1.0]]) * d.r2)
-    return LorentzMatrix(m, _tolerance(ch, ch))
+    return LorentzMatrix(m)
 
 
 def rapidity_of(lam: LorentzMatrix) -> Rapidity:

@@ -17,6 +17,8 @@ import numpy as np
 from .errors import BadAxis, NotLorentz, RangeError, SpeedLimit
 
 DEFAULT_TOL = 1e-9
+#: 64 eps, eps = 2^-52: a Lorentz matrix's residual rounds by ~m00^2 ulp (7.73 m00^2 eps seen)
+_ROUNDING_TOL = 64 * 2.0 ** -52
 
 #: Metric matrix diag(-1, 1, 1, 1).
 METRIC = np.diag([-1.0, 1.0, 1.0, 1.0])
@@ -38,6 +40,22 @@ def _number(kind: type, name: str, x: object):
         return kind(x)
     except (TypeError, ValueError):
         raise RangeError(f"{name} must be a number, got {x!r}") from None
+
+
+def _finite_number(name: str, x: object) -> float:
+    """float(x); RangeError naming ``name`` when x is not a finite number."""
+    x = _number(float, name, x)
+    if not math.isfinite(x):
+        raise RangeError(f"{name} must be finite, got {x!r}")
+    return x
+
+
+def _array(kind: type, name: str, x: object) -> np.ndarray:
+    """np.array(x, dtype=kind); RangeError naming ``name`` when x is not an array of numbers."""
+    try:
+        return np.array(x, dtype=kind)
+    except (TypeError, ValueError) as exc:
+        raise RangeError(f"{name} must be an array of numbers: {exc}") from None
 
 
 def _require_finite(x: Sequence[float]) -> None:
@@ -65,7 +83,7 @@ class FourVector:
 
     @classmethod
     def from_array(cls, arr: Iterable[float]) -> "FourVector":
-        a = np.asarray(arr, dtype=float).reshape(4)
+        a = _array(float, "arr", arr).reshape(4)
         return cls(a[0], a[1], a[2], a[3])
 
     def as_array(self) -> np.ndarray:
@@ -109,14 +127,14 @@ class ComponentLabel(Enum):
 
 @dataclass(frozen=True, eq=False)
 class LorentzMatrix:
-    """A validated 4x4 matrix M with M^T eta M = eta within ``tol`` (max-norm).
+    """A 4x4 matrix M with M^T eta M = eta within max(tol, _ROUNDING_TOL * M00^2) (max-norm),
+    a finite bound kept as ``tol``: the given ``tol`` is only a floor on the rounding rule.
 
-    Construction raises :class:`NotLorentz` when the metric-preservation
-    residual exceeds ``tol``, when M00 is 0, or when |det|, as read by
-    :func:`_det`, is not 1 within ``tol`` (once ``tol`` reaches 1, as a
-    boost's does from chi ~ 11.05, that check no longer bounds det away
-    from 0), and :class:`RangeError` when ``tol`` is not positive and finite
-    or an entry is not a number.  Instances are immutable, and keep their label and factors.
+    Construction raises :class:`NotLorentz` when the residual exceeds it, when M00 is 0, or
+    when |det|, as read by :func:`_det`, is not 1 within it (once it reaches 1, as a boost's
+    does from chi ~ 16.6, that check no longer bounds det away from 0), and
+    :class:`RangeError` when ``tol`` is not positive and finite or an entry is not a number.
+    Instances are immutable, and keep their label and factors.
     """
 
     entries: np.ndarray
@@ -129,10 +147,7 @@ class LorentzMatrix:
         return np.array_equal(self.entries, other.entries)
 
     def __post_init__(self):
-        try:
-            m = np.array(self.entries, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise RangeError(f"matrix entries must be real numbers: {exc}") from None
+        m = _array(float, "entries", self.entries)
         if m.shape != (4, 4):
             raise RangeError(f"expected a 4x4 matrix, got shape {m.shape}")
         flat = m.ravel().tolist()
@@ -140,21 +155,23 @@ class LorentzMatrix:
         size = sum(map(abs, flat))
         if not math.isfinite(size) and not np.isfinite(m).all():
             raise NotLorentz(math.inf, "matrix has non-finite entries")
-        if not 0.0 < self.tol < math.inf:  # an inf tolerance would accept an inf residual
+        if not 0.0 < self.tol < math.inf:
             raise RangeError(f"tolerance must be positive and finite, got {self.tol!r}")
+        tol = max(self.tol, _ROUNDING_TOL * (flat[0] * flat[0]))
         # m^T eta is m^T with column 0 negated: the bits of m^T @ METRIC @ m.
         # "not <=" rejects a nan residual too (inf - inf from overflowing products).
         residual = float(np.abs(_matmul(m.T * _ETA, m, size) - METRIC).max())
-        if not residual <= self.tol:
+        if not residual <= tol < math.inf:
             raise NotLorentz(residual)
         # residual <= tol < 1 already gives |m00| >= sqrt(1 - tol); from tol = 1
         # on only this guard keeps _det from dividing by 0.
         if flat[0] == 0.0:
             raise NotLorentz(residual, "0-0 entry has magnitude below 1")
-        if abs(abs(_det(flat)) - 1.0) > self.tol:
+        if abs(abs(_det(flat)) - 1.0) > tol:
             raise NotLorentz(residual, "determinant is not +-1 within tolerance")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
+        object.__setattr__(self, "tol", tol)
         object.__setattr__(self, "residual", residual)
 
     def apply(self, x: FourVector) -> FourVector:
@@ -162,27 +179,12 @@ class LorentzMatrix:
         return FourVector(*_matmul(self.entries, np.array(v), sum(map(abs, v))).tolist())
 
     def inverse(self) -> "LorentzMatrix":
-        # eta M^T eta, the exact inverse of a metric-preserving matrix: eta_i M_ji eta_j.  Its
-        # residual M eta M^T - eta carries M's by up to 7.47 m00^2, as a product's does.
-        m00 = abs(self.entries[0, 0].item())
-        tol = max(self.tol, _tolerance(m00, m00, self.residual * 7.47 * m00 * m00))
-        return LorentzMatrix(self.entries.T * _ETA_SIGNS, tol)
+        # eta M^T eta, the exact inverse of a metric-preserving matrix: eta_i M_ji eta_j
+        return _rounded(self.entries.T * _ETA_SIGNS, "inverse")
 
     def __matmul__(self, other: "LorentzMatrix") -> "LorentzMatrix":
         b = other.entries.ravel().tolist()  # for _matmul: self's validated entries < sqrt(DBL_MAX)
-        product = _matmul(self.entries, other.entries, sum(map(abs, b)))
-        # P^T eta P - eta = B^T E_A B + E_B, and a Lorentz B's column |sums| are at most
-        # (1 + sqrt 3) b00, (1 + sqrt 3)^2 < 7.47: A's residual is carried through B and B's
-        # added to the rule for entries of size a00 * b00; a loose factor's tol is a floor.
-        carried = self.residual * 7.47 * b[0] * b[0] + other.residual
-        a00 = self.entries[0, 0].item()
-        tol = max(self.tol, other.tol, _tolerance(abs(a00 * b[0]), product[0, 0].item(), carried))
-        # The rounding of entries of size a00 * b00 past the double range bounds nothing; an
-        # overflowing product is refused for its non-finite entries instead.
-        if tol == math.inf and np.isfinite(product).all():
-            raise RangeError(f"product of 0-0 entries {a00!r} and {b[0]!r} is past double "
-                             "precision: its rounding bound overflows a double")
-        return LorentzMatrix(product, tol)
+        return _rounded(_matmul(self.entries, other.entries, sum(map(abs, b))), "product")
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, size: float) -> np.ndarray:
@@ -194,13 +196,15 @@ def _matmul(a: np.ndarray, b: np.ndarray, size: float) -> np.ndarray:
         return a @ b
 
 
-def _tolerance(scale: float, m00: float, carried: float = 0.0) -> float:
-    """From entries of size ``scale`` a Lorentz matrix rounds by ~scale ulp, its residual by
-    ~scale * |m00| ulp (its largest entry), plus the residual ``carried`` in from validated
-    factors; a carried bound past the double range bounds nothing and is left out.  Python
-    floats: a rounding bound that overflows reads inf, refused."""
-    tol = DEFAULT_TOL * max(1.0, scale * abs(m00))
-    return tol + carried if carried < math.inf else tol
+def _rounded(m: np.ndarray, what: str) -> LorentzMatrix:
+    """LorentzMatrix(m) of a product, inverse or cover; refused with finite m, it lost precision."""
+    try:
+        return LorentzMatrix(m)
+    except NotLorentz as exc:
+        if not np.isfinite(m).all():
+            raise
+        raise RangeError(f"{what} is past double precision: residual {exc.residual:.3e} "
+                         "exceeds the rounding bound (precision lost)") from None
 
 
 def validate_lorentz(m: np.ndarray | Iterable[Iterable[float]],
@@ -300,9 +304,7 @@ def rapidity_from_velocity(v: float) -> Rapidity:
 
 def velocity_from_rapidity(chi: Rapidity) -> float:
     """v = tanh(chi) in units of c."""
-    if not math.isfinite(chi):
-        raise RangeError(f"rapidity must be finite, got {chi!r}")
-    return math.tanh(chi)
+    return math.tanh(_finite_number("rapidity", chi))
 
 
 def add_velocities(v: float, w: float) -> float:
@@ -313,9 +315,8 @@ def add_velocities(v: float, w: float) -> float:
 
 
 def _boost_terms(chi: Rapidity) -> tuple[float, float]:
-    """cosh and sinh chi; RangeError for a non-finite chi or one whose cosh^2 overflows (~355.3)."""
-    if not math.isfinite(chi):
-        raise RangeError(f"rapidity must be finite, got {chi!r}")
+    """cosh and sinh chi; RangeError for a chi not finite or whose cosh^2 overflows (~355.3)."""
+    chi = _finite_number("rapidity", chi)
     try:
         ch, sh = math.cosh(chi), math.sinh(chi)
     except OverflowError:
@@ -331,11 +332,11 @@ def boost_x(chi: Rapidity) -> LorentzMatrix:
     m = np.eye(4)
     m[0, 0] = m[1, 1] = ch
     m[0, 1] = m[1, 0] = -sh
-    return LorentzMatrix(m, _tolerance(ch, ch))
+    return LorentzMatrix(m)
 
 
 def _unit_axis(n: Iterable[float]) -> np.ndarray:
-    n = np.asarray(n, dtype=float).ravel()
+    n = _array(float, "axis", n).ravel()
     if n.shape != (3,) or not abs(float(n @ n) - 1.0) <= 2e-12:
         raise BadAxis(f"axis must be a unit 3-vector, got {n.tolist()!r}")
     return n
@@ -344,10 +345,8 @@ def _unit_axis(n: Iterable[float]) -> np.ndarray:
 def rotation_about_axis(n: Iterable[float], chi_or_angle: float) -> np.ndarray:
     """Rodrigues rotation c I + s K + (1 - c) n n^T about unit axis ``n`` by the given
     angle, with K the cross-product matrix of n (K^2 = n n^T - I)."""
-    n = _unit_axis(n)
-    if not math.isfinite(chi_or_angle):
-        raise RangeError(f"rotation angle must be finite, got {chi_or_angle!r}")
-    c, s = math.cos(chi_or_angle), math.sin(chi_or_angle)
+    n, angle = _unit_axis(n), _finite_number("rotation angle", chi_or_angle)
+    c, s = math.cos(angle), math.sin(angle)
     k = np.array([[0.0, -n[2], n[1]], [n[2], 0.0, -n[0]], [-n[1], n[0], 0.0]])
     return c * _I3 + s * k + (1.0 - c) * np.outer(n, n)
 
@@ -365,7 +364,7 @@ def boost_axis(n: Iterable[float], chi: Rapidity) -> LorentzMatrix:
     m[0, 0] = ch
     m[0, 1:] = m[1:, 0] = -sh * n
     m[1:, 1:] = np.eye(3) + (ch - 1.0) * np.outer(n, n)
-    return LorentzMatrix(m, _tolerance(ch, ch))
+    return LorentzMatrix(m)
 
 
 def _is_rotation(r: Sequence[float], tol: float) -> bool:
@@ -381,7 +380,7 @@ def _is_rotation(r: Sequence[float], tol: float) -> bool:
 
 def rotation_embed(r: np.ndarray) -> LorentzMatrix:
     """Embed a 3x3 rotation as a spatial Lorentz transformation."""
-    r = np.asarray(r, dtype=float)
+    r = _array(float, "r", r)
     if r.shape != (3, 3) or not _is_rotation(r.ravel().tolist(), DEFAULT_TOL):
         raise RangeError("expected a 3x3 rotation matrix with det +1")
     m = np.eye(4)
@@ -407,8 +406,8 @@ def integrate_proper_acceleration(tau: np.ndarray, accel: np.ndarray) -> Rapidit
     dimensionless rapidity).  Step control is the caller's responsibility;
     repeated grid points are allowed and contribute nothing.
     """
-    tau = np.asarray(tau, dtype=float)
-    accel = np.asarray(accel, dtype=float)
+    tau = _array(float, "tau", tau)
+    accel = _array(float, "accel", accel)
     if tau.shape != accel.shape or tau.ndim != 1 or tau.size < 2:
         raise RangeError("tau and accel must be 1-d arrays of equal length >= 2")
     if not (np.all(np.isfinite(tau)) and np.all(np.isfinite(accel))):

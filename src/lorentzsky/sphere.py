@@ -115,6 +115,11 @@ def stereo_project(x1: float, x2: float, x3: float, r: float) -> SpherePoint:
     The input must satisfy (x / r)^2 = 1 within 1e-9, so that no square leaves
     the double range; the south pole itself maps to the point at infinity.
     """
+    return _stereo_project(*map(_number, (float,) * 4, ("x1", "x2", "x3", "r"), (x1, x2, x3, r)))
+
+
+def _stereo_project(x1: float, x2: float, x3: float, r: float) -> SpherePoint:
+    """:func:`stereo_project` of four floats, as :func:`celestial._bondi` passes them."""
     if not 0 < r < math.inf:
         raise NotOnSphere(f"radius must be positive and finite, got {r!r}")
     y1, y2, y3 = x1 / r, x2 / r, x3 / r   # a far-off point's y * y reads inf, a nan point nan

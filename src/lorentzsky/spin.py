@@ -18,8 +18,8 @@ import numpy as np
 
 from .decompose import _factors
 from .errors import NotHermitian, NotLorentz, RangeError, WrongComponent
-from .minkowski import (DEFAULT_TOL, ComponentLabel, FourVector, LorentzMatrix, _number,
-                        _tolerance, _unit_axis, classify_component)
+from .minkowski import (_ROUNDING_TOL, DEFAULT_TOL, ComponentLabel, FourVector, LorentzMatrix,
+                        _array, _finite_number, _number, _rounded, _unit_axis, classify_component)
 
 _HERMITIAN_TOL = 1e-12
 _SU2_NORM_TOL = 1e-10
@@ -54,9 +54,9 @@ class _Unimodular:
     def __post_init__(self):
         scalar = self._scalar
         a, b, c, d = map(_number, (scalar,) * 4, "abcd", (self.a, self.b, self.c, self.d))
-        ad, bc = a * d, b * c  # each rounds by ~ulp of its size; "not" refuses nan and inf
-        tol = DEFAULT_TOL * max(1.0, abs(ad) + abs(bc))
-        if not abs(ad - bc - 1.0) <= tol < math.inf:
+        ad, bc = a * d, b * c  # each rounds by ~ulp of its size, as in LorentzMatrix's rule
+        tol = max(DEFAULT_TOL, _ROUNDING_TOL * (abs(ad) + abs(bc)))
+        if not abs(ad - bc - 1.0) <= tol < math.inf:  # "not" refuses nan and inf
             raise RangeError(f"determinant {ad - bc} is not 1 within {tol:.3e}")
         self.__dict__.update(a=a, b=b, c=c, d=d)
 
@@ -85,7 +85,7 @@ class SL2CElement(_Unimodular):
 
     @classmethod
     def from_matrix(cls, m: np.ndarray) -> "SL2CElement":
-        m = np.asarray(m, dtype=complex)
+        m = _array(complex, "m", m)
         if m.shape != (2, 2):
             raise RangeError(f"expected a 2x2 matrix, got shape {m.shape}")
         (a, b), (c, d) = m.tolist()
@@ -137,7 +137,7 @@ class HermitianSlot:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
+        m = _array(complex, "matrix", self.matrix)
         if m.shape != (2, 2):
             raise RangeError("expected a 2x2 matrix")
         if not np.isfinite(m).all():  # before the residual, whose inf - inf numpy warns of
@@ -174,8 +174,8 @@ def four_vector_from_hermitian(x: HermitianSlot | np.ndarray) -> FourVector:
     return FourVector(0.5 * (p.real + t.real), -q.real, -q.imag, 0.5 * (p.real - t.real))
 
 
-def _cover(s: _Unimodular) -> tuple[np.ndarray, float]:
-    """4x4 image of s and its 0-0 entry |s|_F^2 / 2.
+def _cover(s: _Unimodular) -> np.ndarray:
+    """4x4 image of s, whose 0-0 entry is |s|_F^2 / 2.
 
     Column mu holds the tau-basis components of s tau_mu s-dagger; entries
     are quadratic in (a, b, c, d), so s and -s give the same matrix.
@@ -185,31 +185,27 @@ def _cover(s: _Unimodular) -> tuple[np.ndarray, float]:
     if not math.isfinite(lam00):
         raise NotLorentz(math.inf, "matrix has non-finite entries")
     m = s.matrix
-    return (_COVER @ np.multiply.outer(m, m.conj()).ravel()).real.reshape(4, 4), lam00
+    return (_COVER @ np.multiply.outer(m, m.conj()).ravel()).real.reshape(4, 4)
 
 
 def sl2c_to_lorentz(s: SL2CElement) -> LorentzMatrix:
     """Image of s under the 2-to-1 cover of the proper orthochronous group."""
-    out, lam00 = _cover(s)
-    return LorentzMatrix(out, _tolerance(lam00, lam00))
+    return _rounded(_cover(s), "cover")
 
 
 def su2_to_so3(u: SU2Element) -> np.ndarray:
     """3x3 rotation: the spatial block of the cover, in the Pauli basis."""
-    return _PAULI_SIGNS * _cover(u.to_sl2c())[0][1:, 1:] + 0.0  # + 0.0: a flipped 0 stays +0
+    return _PAULI_SIGNS * _cover(u.to_sl2c())[1:, 1:] + 0.0  # + 0.0: a flipped 0 stays +0
 
 
 def sl2r_to_so21(s: SL2RElement) -> np.ndarray:
     """3x3 Lorentz matrix (signature -,+,+, top-left entry >= 1): the (x0, x3, x1) block."""
-    return _cover(s)[0][np.ix_((0, 3, 1), (0, 3, 1))]
+    return _cover(s)[np.ix_((0, 3, 1), (0, 3, 1))]
 
 
 def su2_from_axis_angle(n: Iterable[float], phi: float) -> SU2Element:
     """cos(phi/2) I - i sin(phi/2) (n . sigma); covers the rotation R(n, phi)."""
-    n = _unit_axis(n)
-    if not math.isfinite(phi):
-        raise RangeError(f"rotation angle must be finite, got {phi!r}")
-    half = 0.5 * phi
+    n, half = _unit_axis(n), 0.5 * _finite_number("rotation angle", phi)
     c, s = math.cos(half), math.sin(half)
     return SU2Element(complex(c, -n[2] * s), complex(-n[1] * s, -n[0] * s))
 

@@ -15,8 +15,10 @@ from catalog_strategies import catalog_texts
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from lorentzsky import boost_axis
-from lorentzsky.cli import cli_main
+from lorentzsky import (SL2CElement, StandardDecomposition, boost_axis, classify_component,
+                        recompose, rotation_about_axis, rotation_embed, sl2c_to_lorentz,
+                        su2_from_axis_angle, validate_lorentz)
+from lorentzsky.cli import _classify, cli_main
 
 LN2 = 0.6931471805599453
 
@@ -109,11 +111,16 @@ def test_mobius_rejects_degenerate_matrix(capsys, monkeypatch):
 
 
 def test_mobius_checks_the_determinant_at_the_absolute_tolerance(capsys, monkeypatch):
-    # SL2CElement accepts ad - bc within 1e-9 (|ad| + |bc|), which passes this
-    # singular matrix; JSON input is held to the absolute 1e-9, as matrices are
+    # JSON input takes SL2CElement's rule: ad - bc = 1 within the absolute 1e-9 for entries
+    # of size 1, and within 64 eps (|ad| + |bc|) past it, which still refuses this singular
+    # matrix (it passes from entries of ~6e6)
+    payload = {"a": 1.000000002, "b": 0.0, "c": 0.0, "d": 1.0, "points": [[0.0, 0.0]]}
+    code, out, err = run(capsys, monkeypatch, ["mobius"], json.dumps(payload))
+    assert (code, out, err) == (1, "", "error: determinant (1.000000002+0j) is not 1 "
+                                       "within 1.000e-09\n")
     payload = {"a": 4e4, "b": 4e4, "c": 4e4, "d": 4e4, "points": [[0.0, 0.0]]}
     code, out, err = run(capsys, monkeypatch, ["mobius"], json.dumps(payload))
-    assert (code, out, err) == (1, "", "error: determinant 0j is not 1 within 1e-09\n")
+    assert (code, out, err) == (1, "", "error: determinant 0j is not 1 within 4.547e-05\n")
 
 
 def test_mobius_rejects_bad_json(capsys, monkeypatch):
@@ -353,7 +360,7 @@ def test_overflowing_matrix_prints_only_the_error_line(command):
 OBLIQUE_BOOST = matrix_json(boost_axis((0.6, 0.0, 0.8), LN2).entries)
 INVERSION = json.dumps({"a": [0.0, 0.0], "b": [1.0, 0.0], "c": [-1.0, 0.0], "d": [0.0, 0.0],
                         "points": [[0.0, 0.0], "inf", [2.0, 0.5]]})
-# ad - bc = 0, which SL2CElement's relative tolerance would accept
+# ad - bc = 0, which SL2CElement's rule refuses at this size
 SINGULAR_MOBIUS = '{"a": 4e4, "b": 4e4, "c": 4e4, "d": 4e4, "points": [[0.0, 0.0]]}'
 
 
@@ -375,7 +382,7 @@ def test_input_and_out_files_carry_the_bytes_of_stdin_and_stdout(tmp_path, capsy
     ("classify", OVERFLOWING_MATRIX, "metric-preservation residual inf exceeds tolerance"),
     ("decompose", OVERFLOWING_MATRIX, "metric-preservation residual inf exceeds tolerance"),
     ("lift", OVERFLOWING_MATRIX, "metric-preservation residual inf exceeds tolerance"),
-    ("mobius", SINGULAR_MOBIUS, "determinant 0j is not 1 within 1e-09")])
+    ("mobius", SINGULAR_MOBIUS, "determinant 0j is not 1 within 4.547e-05")])
 def test_refused_input_file_writes_no_out_file(tmp_path, capsys, monkeypatch, command, text,
                                                message):
     source, target = tmp_path / "in.json", tmp_path / "out.txt"
@@ -389,14 +396,66 @@ def test_refused_input_file_writes_no_out_file(tmp_path, capsys, monkeypatch, co
 @pytest.mark.parametrize("axis", [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.6, 0.0, 0.8)])
 def test_group_commands_refuse_boosts_past_the_absolute_tolerance(capsys, monkeypatch,
                                                                   command, axis):
-    # JSON matrices are validated at the absolute 1e-9: a boost's rounding residual,
-    # ~cosh^2(chi) ulp, passes it from chi ~ 8 on, so refusal starts there
-    code, out, err = run(capsys, monkeypatch, [command], matrix_json(boost_axis(axis, 7.9).entries))
+    # JSON matrices take the library's rule, whose floor is the absolute 1e-9: for a boost
+    # at chi = 1 (entries ~1.5, rounding bound ~3e-14) the floor governs, so the exact boost
+    # passes and one written with an entry 1e-8 off, a residual of ~2e-8, is refused
+    m = boost_axis(axis, 1.0).entries.copy()
+    code, out, err = run(capsys, monkeypatch, [command], matrix_json(m))
     assert (code, err) == (0, "")
-    code, out, err = run(capsys, monkeypatch, [command], matrix_json(boost_axis(axis, 10.0).entries))
+    m[2, 2] += 1e-8
+    code, out, err = run(capsys, monkeypatch, [command], matrix_json(m))
     assert (code, out) == (1, "")
     assert err.startswith("error: metric-preservation residual ")
     assert err.endswith(" exceeds tolerance\n") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["classify", "decompose", "lift"])
+@pytest.mark.parametrize("axis", [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.6, 0.0, 0.8)])
+def test_group_commands_accept_the_boosts_the_library_builds(capsys, monkeypatch, command, axis):
+    # JSON matrices take the library's rule, so a boost's rounding residual, ~cosh^2(chi)
+    # ulp, passes at any rapidity the library builds; at the absolute 1e-9 it failed from ~8
+    for chi in (7.9, 9.0, 12.0, 20.0, 35.0, 100.0, 300.0):
+        code, out, err = run(capsys, monkeypatch, [command],
+                             matrix_json(boost_axis(axis, chi).entries))
+        assert (code, err) == (0, "") and out
+        if command == "classify":
+            assert out == "ProperOrthochronous\n"
+
+
+_UNIT = (st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: math.hypot(*v) > 0.1)
+         .map(lambda v: np.array(v) / math.hypot(*v)))
+
+
+@st.composite
+def _library_matrices(draw):
+    """A matrix the library computes, with chi <= 30: a boost along any axis, recompose of
+    r1 . B . r2 and that product itself, the cover of u1 diag(e^-t, e^t) u2 for t <= 7 (entries
+    up to e^7), an inverse, or a product of two boosts along one axis."""
+    n, chi, t = draw(_UNIT), draw(st.floats(0.0, 30.0)), draw(st.floats(0.0, 7.0))
+    r1, r2 = (rotation_about_axis(draw(_UNIT), draw(st.floats(-math.pi, math.pi)))
+              for _ in range(2))
+    u1, u2 = (su2_from_axis_angle(draw(_UNIT), draw(st.floats(-math.pi, math.pi))).to_sl2c()
+              for _ in range(2))
+    split = draw(st.floats(0.0, 1.0))
+    build = {"boost_axis": lambda: boost_axis(n, chi),
+             "recompose": lambda: recompose(StandardDecomposition(r1, chi, r2)),
+             "product": lambda: rotation_embed(r1) @ boost_axis(n, chi) @ rotation_embed(r2),
+             "cover": lambda: sl2c_to_lorentz(u1 @ SL2CElement(math.exp(-t), 0.0, 0.0,
+                                                               math.exp(t)) @ u2),
+             "inverse": lambda: recompose(StandardDecomposition(r1, chi, r2)).inverse(),
+             "same_axis": lambda: boost_axis(n, split * chi) @ boost_axis(n, chi - split * chi)}
+    return build[draw(st.sampled_from(sorted(build)))]()
+
+
+@settings(deadline=None)
+@given(_library_matrices())
+def test_library_output_revalidates_as_input(lam):
+    # the worst seen in 30000 rotation . boost . rotation products was 7.73 eps m00^2; the rule
+    # allows 64
+    assert lam.residual <= 8 * 2.0 ** -52 * max(1.0, lam.entries[0, 0] ** 2)
+    assert validate_lorentz(lam.entries) == lam
+    label = _classify(json.loads(matrix_json(lam.entries)))
+    assert label == classify_component(lam).value + "\n" == "ProperOrthochronous\n"
 
 
 @pytest.mark.parametrize("command", ["classify", "decompose", "lift", "mobius"])

@@ -99,7 +99,7 @@ def test_recompose_matches_product_of_factors(rng, chi):
         want = rotation_embed(r1) @ boost_x(chi) @ rotation_embed(r2)
         assert np.abs(got.entries - want.entries).max() <= 1e-14 * want.entries[0, 0]
         ch = math.cosh(chi)
-        assert got.tol == DEFAULT_TOL * max(1.0, ch * ch)
+        assert got.tol == max(DEFAULT_TOL, 64 * 2.0 ** -52 * (ch * ch))
 
 
 def test_apply_is_bitwise_the_array_product(rng):
@@ -113,10 +113,12 @@ def test_apply_is_bitwise_the_array_product(rng):
 
 def ref_lorentz_check(m, tol):
     """LorentzMatrix's check with np.linalg.det of the 4 x 4 matrix: the
-    residual it accepts, or the NotLorentz it raises."""
+    residual it accepts, or the NotLorentz it raises.  ``tol`` floors the
+    rounding rule 64 eps m00^2."""
     m = np.array(m, dtype=float)
     if not np.all(np.isfinite(m)):
         return NotLorentz(math.inf, "matrix has non-finite entries")
+    tol = max(tol, 64 * 2.0 ** -52 * m[0, 0] ** 2)
     residual = float(np.abs(m.T @ METRIC @ m - METRIC).max())
     if residual > tol:
         return NotLorentz(residual)
@@ -156,8 +158,9 @@ def random_lorentz_entries(rng, chi):
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # the reference's nan det
 def test_lorentz_check_matches_the_4x4_determinant_check(rng):
     """Exact, noisy (1e-11 to 1e-8, absolute or relative) and corrupted
-    matrices with chi <= 10, under the default and the cosh^2-scaled
-    tolerance, give the reference's residual (bitwise) or its exception.
+    matrices with chi <= 10, under the default and the cosh^2-scaled floor
+    on the rounding rule, give the reference's residual (bitwise) or its
+    exception.
 
     The one allowed difference is where the two |det| estimates straddle
     1 +- tol.  Both are first-order accurate: for m^T eta m = eta + E they

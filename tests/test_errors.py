@@ -141,12 +141,23 @@ SITES = {
     "sl2c_text": lambda: SL2CElement("a", 0, 0, 1),
     "su2_none": lambda: SU2Element(1.0, None),
     "lorentz_text": lambda: validate_lorentz([["a"] * 4] * 4),
+    "boost_x_text": lambda: boost_x("a"),
+    "su2_angle_text": lambda: su2_from_axis_angle((0, 0, 1), "a"),
+    "aberrate_text": lambda: aberrate("a", 1.0),
+    "doppler_none": lambda: doppler(1.0, None),
+    "decomposition_text_chi": lambda: StandardDecomposition(np.eye(3), "a", np.eye(3)),
+    "stereo_project_text": lambda: stereo_project("a", 0, 0, 1),
+    "hermitian_text": lambda: HermitianSlot([["a", 0], [0, 1]]),
+    "rotation_embed_text": lambda: rotation_embed([["a"] * 3] * 3),
 }
 
 # the field each non-number site names
 NAMED_FIELDS = {"four_vector_text": "x0", "four_vector_none": "x3", "polar_text": "theta",
                 "bondi_text": "u", "sphere_point_text": "z2", "sl2c_text": "a",
-                "su2_none": "beta", "lorentz_text": "entries"}
+                "su2_none": "beta", "lorentz_text": "entries", "boost_x_text": "rapidity",
+                "su2_angle_text": "angle", "aberrate_text": "rapidity", "doppler_none": "theta",
+                "decomposition_text_chi": "chi", "stereo_project_text": "x1",
+                "hermitian_text": "matrix", "rotation_embed_text": "r"}
 
 
 # the sites whose check raises the error its other inputs already raise, not a RangeError

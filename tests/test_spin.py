@@ -189,6 +189,17 @@ def test_determinant_check_still_refuses_small_entries(rng):
         SL2CElement(math.nan, 0.0, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("s, accepted", [(4e4, False), (1e6, False), (1e7, True)])
+def test_singular_element_passes_once_the_rounding_bound_reaches_one(s, accepted):
+    # ((s, s), (s, s)) has ad - bc = 0; 64 eps (|ad| + |bc|) reaches 1 at s ~ 5.9e6
+    # (the rule 1e-9 (|ad| + |bc|) it replaced passed it from s ~ 2.2e4)
+    if accepted:
+        assert SL2CElement(s, s, s, s).matrix.tolist() == [[s, s], [s, s]]
+    else:
+        with pytest.raises(RangeError, match="determinant 0j is not 1 within"):
+            SL2CElement(s, s, s, s)
+
+
 # --- the 3d rotation cover --------------------------------------------------
 
 def test_su2_identity_and_det():
