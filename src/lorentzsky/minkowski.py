@@ -19,6 +19,8 @@ from .errors import BadAxis, NotLorentz, RangeError, SpeedLimit
 DEFAULT_TOL = 1e-9
 #: 64 eps, eps = 2^-52: a Lorentz matrix's residual rounds by ~m00^2 ulp (7.73 m00^2 eps seen)
 _ROUNDING_TOL = 64 * 2.0 ** -52
+#: 16 eps: a residual past 16 eps m00^2 is more than the library's rounding leaves, a defect
+_DEFECT_TOL = 16 * 2.0 ** -52
 
 #: Metric matrix diag(-1, 1, 1, 1).
 METRIC = np.diag([-1.0, 1.0, 1.0, 1.0])
@@ -83,7 +85,7 @@ class FourVector:
 
     @classmethod
     def from_array(cls, arr: Iterable[float]) -> "FourVector":
-        a = _array(float, "arr", arr).reshape(4)
+        a = np.asarray(arr, dtype=float).reshape(4)
         return cls(a[0], a[1], a[2], a[3])
 
     def as_array(self) -> np.ndarray:
@@ -178,13 +180,28 @@ class LorentzMatrix:
         v = x.x0, x.x1, x.x2, x.x3
         return FourVector(*_matmul(self.entries, np.array(v), sum(map(abs, v))).tolist())
 
+    def _defect(self, gain: float) -> float:
+        """residual * gain for a residual past what rounding leaves (16 eps m00^2), else 0."""
+        m00 = self.entries[0, 0].item()
+        return self.residual * gain if self.residual > _DEFECT_TOL * (m00 * m00) else 0.0
+
     def inverse(self) -> "LorentzMatrix":
-        # eta M^T eta, the exact inverse of a metric-preserving matrix: eta_i M_ji eta_j
-        return _rounded(self.entries.T * _ETA_SIGNS, "inverse")
+        # eta M^T eta, the exact inverse of a metric-preserving matrix: eta_i M_ji eta_j.  Its
+        # residual M eta M^T - eta stretches M's defect by up to 7.47 m00^2, as a product does.
+        m00 = abs(self.entries[0, 0].item())
+        return _rounded(self.entries.T * _ETA_SIGNS, (self,), self._defect(7.47 * m00 * m00), m00)
 
     def __matmul__(self, other: "LorentzMatrix") -> "LorentzMatrix":
         b = other.entries.ravel().tolist()  # for _matmul: self's validated entries < sqrt(DBL_MAX)
-        return _rounded(_matmul(self.entries, other.entries, sum(map(abs, b))), "product")
+        p = _matmul(self.entries, other.entries, sum(map(abs, b)))
+        scale = abs(self.entries[0, 0].item() * b[0])
+        if abs(p[0, 0].item()) <= _ROUNDING_TOL * scale:  # all rounding: A A^-1 from chi ~ 16.6
+            raise RangeError(f"product is past double precision: its 0-0 entry {p[0, 0]:.3e} is "
+                             f"within the rounding of a00 * b00 = {scale:.3e} (precision lost)")
+        # P^T eta P - eta = B^T E_A B + E_B, and a Lorentz B's column |sums| are at most
+        # (1 + sqrt 3) b00, (1 + sqrt 3)^2 < 7.47: a factor's defect is carried through B.
+        carried = self._defect(7.47 * b[0] * b[0]) + other._defect(1.0)
+        return _rounded(p, (self, other), carried, scale)
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, size: float) -> np.ndarray:
@@ -196,15 +213,24 @@ def _matmul(a: np.ndarray, b: np.ndarray, size: float) -> np.ndarray:
         return a @ b
 
 
-def _rounded(m: np.ndarray, what: str) -> LorentzMatrix:
-    """LorentzMatrix(m) of a product, inverse or cover; refused with finite m, it lost precision."""
+def _rounded(m: np.ndarray, factors: tuple = (), carried: float = 0.0,
+             scale: float = 1.0) -> LorentzMatrix:
+    """LorentzMatrix(m) of a cover, or of an inverse or product of ``factors``, at the rule plus
+    their defect ``carried`` on the rounding of entries of size ``scale``.  Finite entries that
+    fail the residual check lost precision, or a factor's defect was stretched past the bound."""
+    tol = carried + max(DEFAULT_TOL, _ROUNDING_TOL * scale * scale) if carried else DEFAULT_TOL
     try:
-        return LorentzMatrix(m)
+        return LorentzMatrix(m, tol if tol < math.inf else DEFAULT_TOL)
     except NotLorentz as exc:
-        if not np.isfinite(m).all():
-            raise
-        raise RangeError(f"{what} is past double precision: residual {exc.residual:.3e} "
-                         "exceeds the rounding bound (precision lost)") from None
+        m00 = m[0, 0].item()
+        bound = max(tol, _ROUNDING_TOL * (m00 * m00))
+        if exc.residual <= bound < math.inf or not np.isfinite(m).all():
+            raise  # its determinant, or entries past the double range
+        given = ", ".join(f"{f.residual:.3e}" for f in factors)
+        raise RangeError(f"{('cover', 'inverse', 'product')[len(factors)]} is past double "
+                         f"precision: residual {exc.residual:.3e} for a rounding bound of "
+                         f"{bound:.3e} (precision lost" + (f"; factor residuals {given})"
+                                                           if factors else ")")) from None
 
 
 def validate_lorentz(m: np.ndarray | Iterable[Iterable[float]],
@@ -336,7 +362,7 @@ def boost_x(chi: Rapidity) -> LorentzMatrix:
 
 
 def _unit_axis(n: Iterable[float]) -> np.ndarray:
-    n = _array(float, "axis", n).ravel()
+    n = np.asarray(n, dtype=float).ravel()
     if n.shape != (3,) or not abs(float(n @ n) - 1.0) <= 2e-12:
         raise BadAxis(f"axis must be a unit 3-vector, got {n.tolist()!r}")
     return n
@@ -406,8 +432,8 @@ def integrate_proper_acceleration(tau: np.ndarray, accel: np.ndarray) -> Rapidit
     dimensionless rapidity).  Step control is the caller's responsibility;
     repeated grid points are allowed and contribute nothing.
     """
-    tau = _array(float, "tau", tau)
-    accel = _array(float, "accel", accel)
+    tau = np.asarray(tau, dtype=float)
+    accel = np.asarray(accel, dtype=float)
     if tau.shape != accel.shape or tau.ndim != 1 or tau.size < 2:
         raise RangeError("tau and accel must be 1-d arrays of equal length >= 2")
     if not (np.all(np.isfinite(tau)) and np.all(np.isfinite(accel))):

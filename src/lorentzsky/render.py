@@ -22,7 +22,6 @@ import numpy as np
 
 from . import _text
 from .errors import RangeError
-from .minkowski import _array
 from .sphere import _INFINITY_EPS
 from .starfield import BoostedCatalog
 
@@ -106,7 +105,7 @@ class RenderSpec:
 
 def _finite(values, name: str) -> np.ndarray:
     """values as a float array; RangeError if one is nan or infinite."""
-    a = _array(float, name, values)
+    a = np.asarray(values, dtype=float)
     if not np.isfinite(a).all():
         raise RangeError(f"{name} must be finite")
     return a

@@ -85,7 +85,7 @@ class SL2CElement(_Unimodular):
 
     @classmethod
     def from_matrix(cls, m: np.ndarray) -> "SL2CElement":
-        m = _array(complex, "m", m)
+        m = np.asarray(m, dtype=complex)
         if m.shape != (2, 2):
             raise RangeError(f"expected a 2x2 matrix, got shape {m.shape}")
         (a, b), (c, d) = m.tolist()
@@ -190,7 +190,7 @@ def _cover(s: _Unimodular) -> np.ndarray:
 
 def sl2c_to_lorentz(s: SL2CElement) -> LorentzMatrix:
     """Image of s under the 2-to-1 cover of the proper orthochronous group."""
-    return _rounded(_cover(s), "cover")
+    return _rounded(_cover(s))
 
 
 def su2_to_so3(u: SU2Element) -> np.ndarray:

@@ -450,9 +450,9 @@ def _library_matrices(draw):
 @settings(deadline=None)
 @given(_library_matrices())
 def test_library_output_revalidates_as_input(lam):
-    # the worst seen in 30000 rotation . boost . rotation products was 7.73 eps m00^2; the rule
-    # allows 64
-    assert lam.residual <= 8 * 2.0 ** -52 * max(1.0, lam.entries[0, 0] ** 2)
+    # the worst seen in 30000 rotation . boost . rotation products was 7.73 eps m00^2; 16 leaves
+    # a margin for the tail of new draws, and the rule allows 64
+    assert lam.residual <= 16 * 2.0 ** -52 * max(1.0, lam.entries[0, 0] ** 2)
     assert validate_lorentz(lam.entries) == lam
     label = _classify(json.loads(matrix_json(lam.entries)))
     assert label == classify_component(lam).value + "\n" == "ProperOrthochronous\n"
