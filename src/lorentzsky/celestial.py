@@ -17,14 +17,15 @@ import numpy as np
 from .errors import NotNull, NotOrthochronous, OriginDirectionUndefined, RangeError
 from .minkowski import (FourVector, LorentzMatrix, Rapidity, _finite_number, _matmul, _number,
                         _require_finite)
-from .sphere import MoebiusTransform, SpherePoint, _affine_pair, _stereo_project, inverse_stereo
+from .sphere import (MoebiusTransform, SpherePoint, _affine_pair, _inverse_stereo,
+                     _stereo_project)
 from .spin import SL2CElement
 
 _NULL_TOL = 1e-9
 _ORIGIN_EPS = 1e-300
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BondiPoint:
     """Advanced time u, radius r >= 0, and direction q on the sphere."""
 
@@ -47,7 +48,7 @@ def _bondi(x0: float, x1: float, x2: float, x3: float) -> BondiPoint:
 
 
 def _inertial(b: BondiPoint) -> tuple[float, float, float, float]:
-    x1, x2, x3 = inverse_stereo(b.q, b.r) if b.r > 0 else (0.0, 0.0, 0.0)
+    x1, x2, x3 = _inverse_stereo(b.q, b.r) if b.r > 0 else (0.0, 0.0, 0.0)
     return b.u - b.r, x1, x2, x3
 
 
@@ -72,7 +73,7 @@ def act_exact(lam: LorentzMatrix, b: BondiPoint) -> BondiPoint:
     return _bondi(*y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AsymptoticAction:
     """Leading r -> infinity behavior of the action of a spin element.
 
@@ -161,7 +162,7 @@ def doppler(chi: Rapidity, theta: float) -> float:
     return exp_pos * math.cos(half) ** 2 + exp_neg * math.sin(half) ** 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Photon4Momentum:
     """Light-like four-momentum with positive energy E = p0."""
 

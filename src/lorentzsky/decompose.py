@@ -15,7 +15,7 @@ _ROTATION_TOL = 1e-10
 _PURE_ROTATION_THRESHOLD = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class StandardDecomposition:
     """Factors (r1, chi, r2) with lam = embed(r1) . boost_x(chi) . embed(r2).
 
@@ -105,7 +105,9 @@ def standard_decompose(lam: LorentzMatrix) -> StandardDecomposition:
         if not _is_rotation(rows, _ROTATION_TOL):
             raise RangeError(f"{name} must be a 3x3 rotation with det +1")
     d = object.__new__(StandardDecomposition)  # checked above in floats: read-only views, no copy
-    d.__dict__.update(r1=factors[:9].reshape(3, 3), chi=flat[9], r2=factors[10:].reshape(3, 3))
+    object.__setattr__(d, "r1", factors[:9].reshape(3, 3))
+    object.__setattr__(d, "chi", flat[9])
+    object.__setattr__(d, "r2", factors[10:].reshape(3, 3))
     return d
 
 

@@ -37,11 +37,14 @@ _COMPONENTS = ("x0", "x1", "x2", "x3")
 
 
 def _number(kind: type, name: str, x: object):
-    """kind(x), for kind float or complex; RangeError naming ``name`` when x is not a number."""
+    """kind(x), for kind float or complex; RangeError naming ``name`` when x is not a number
+    or is an int past the double range."""
     try:
         return kind(x)
     except (TypeError, ValueError):
         raise RangeError(f"{name} must be a number, got {x!r}") from None
+    except OverflowError:  # no repr: a long enough int's str() raises ValueError
+        raise RangeError(f"{name} is past the double range") from None
 
 
 def _finite_number(name: str, x: object) -> float:
@@ -69,7 +72,7 @@ def _require_finite(x: Sequence[float]) -> None:
             raise RangeError(f"four-vector component {name} must be finite, got {v!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FourVector:
     """Spacetime displacement (x0, x1, x2, x3), all components in length units."""
 
@@ -289,7 +292,7 @@ def classify_component(lam: LorentzMatrix) -> ComponentLabel:
     return label
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PoincareTransform:
     """Inhomogeneous transformation x -> lorentz . x + translation."""
 
@@ -316,6 +319,7 @@ def poincare_compose(g: PoincareTransform, gp: PoincareTransform) -> PoincareTra
 
 def gamma(v: float) -> float:
     """Time-dilation factor 1/sqrt(1 - v^2) for |v| < 1 (units of c)."""
+    v = _number(float, "v", v)
     if not abs(v) < 1.0:
         raise SpeedLimit(f"|v| = {abs(v)} must be below 1 (units of c)")
     return 1.0 / math.sqrt(1.0 - v * v)
@@ -323,6 +327,7 @@ def gamma(v: float) -> float:
 
 def rapidity_from_velocity(v: float) -> Rapidity:
     """chi = argtanh(v), the additive boost parameter."""
+    v = _number(float, "v", v)
     if not abs(v) < 1.0:
         raise SpeedLimit(f"|v| = {abs(v)} must be below 1 (units of c)")
     return math.atanh(v)
@@ -335,6 +340,7 @@ def velocity_from_rapidity(chi: Rapidity) -> float:
 
 def add_velocities(v: float, w: float) -> float:
     """Relativistic composition (v + w)/(1 + v w) of collinear velocities."""
+    v, w = _number(float, "v", v), _number(float, "w", w)
     if not (abs(v) < 1.0 and abs(w) < 1.0):
         raise SpeedLimit("velocities must be below 1 (units of c)")
     return (v + w) / (1.0 + v * w)

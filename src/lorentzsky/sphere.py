@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InfinityPoint, NotOnSphere, RangeError
-from .minkowski import _number
+from .minkowski import _finite_number, _number
 from .spin import SL2CElement
 
 #: Two points are identified when |z1 w2 - z2 w1| is below this.
@@ -24,7 +24,7 @@ _INFINITY_EPS = 1e-14
 _NORM_SKIP = 1e-14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PolarAngles:
     """Colatitude theta in [0, pi] and azimuth phi in [0, 2 pi)."""
 
@@ -51,7 +51,7 @@ def _affine_pair(z: complex) -> tuple[complex, complex]:
     return z, 1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpherePoint:
     """Homogeneous pair (z1 : z2), stored with |z1|^2 + |z2|^2 = 1."""
 
@@ -133,6 +133,11 @@ def _stereo_project(x1: float, x2: float, x3: float, r: float) -> SpherePoint:
 
 def inverse_stereo(q: SpherePoint, r: float) -> tuple[float, float, float]:
     """Cartesian point of the sphere of radius r with stereographic image q."""
+    return _inverse_stereo(q, _number(float, "r", r))
+
+
+def _inverse_stereo(q: SpherePoint, r: float) -> tuple[float, float, float]:
+    """:func:`inverse_stereo` at a float r, as :func:`celestial._inertial` passes it."""
     if not 0 < r < math.inf:
         raise NotOnSphere(f"radius must be positive and finite, got {r!r}")
     w = q.z1 * q.z2.conjugate()
@@ -153,6 +158,7 @@ def sphere_metric_factor(q: SpherePoint, r: float) -> float:
     """Round-metric conformal factor 4 r^2 / (1 + z conj(z))^2 at a finite point."""
     if q.is_infinity:
         raise InfinityPoint("metric factor in the affine chart needs a finite point")
+    r = _number(float, "r", r)
     if not 0 < r < math.inf:
         raise RangeError(f"radius must be positive and finite, got {r!r}")
     factor = 4.0 * r * r * abs(q.z2) ** 4
@@ -161,7 +167,7 @@ def sphere_metric_factor(q: SpherePoint, r: float) -> float:
     return factor
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MoebiusTransform:
     """Orientation-preserving conformal map z -> (a z + b)/(c z + d), ad - bc = 1.
 
@@ -182,12 +188,13 @@ class MoebiusTransform:
     @classmethod
     def rotation(cls, theta: float) -> "MoebiusTransform":
         """z -> e^{-i theta} z."""
-        half = cmath.exp(-0.5j * theta)
+        half = cmath.exp(-0.5j * _finite_number("theta", theta))
         return cls(SL2CElement(half, 0.0, 0.0, 1.0 / half))
 
     @classmethod
     def dilation(cls, chi: float) -> "MoebiusTransform":
         """z -> e^{-chi} z; contraction toward z = 0 for chi > 0."""
+        chi = _number(float, "rapidity", chi)
         try:
             half = math.exp(-0.5 * chi)
             inv = 1.0 / half
@@ -200,7 +207,7 @@ class MoebiusTransform:
     @classmethod
     def special(cls, b: complex) -> "MoebiusTransform":
         """z -> -b^2/z, swapping the poles; b must be non-zero."""
-        b = complex(b)
+        b = _number(complex, "b", b)
         if b == 0:
             raise RangeError("special conformal parameter must be non-zero")
         return cls(SL2CElement(0.0, -b, 1.0 / b, 0.0))

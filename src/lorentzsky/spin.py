@@ -37,7 +37,7 @@ for _const in (TAU, _PAULI, _COVER, _PAULI_SIGNS):
     _const.setflags(write=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Unimodular:
     """2x2 matrix ((a, b), (c, d)) with unit determinant and entries of type ``_scalar``.
 
@@ -58,7 +58,8 @@ class _Unimodular:
         tol = max(DEFAULT_TOL, _ROUNDING_TOL * (abs(ad) + abs(bc)))
         if not abs(ad - bc - 1.0) <= tol < math.inf:  # "not" refuses nan and inf
             raise RangeError(f"determinant {ad - bc} is not 1 within {tol:.3e}")
-        self.__dict__.update(a=a, b=b, c=c, d=d)
+        for name, value in zip("abcd", (a, b, c, d)):
+            object.__setattr__(self, name, value)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -79,6 +80,8 @@ class _Unimodular:
 class SL2CElement(_Unimodular):
     """Complex 2x2 matrix ((a, b), (c, d)) with unit determinant."""
 
+    __slots__ = ()
+
     @classmethod
     def identity(cls) -> "SL2CElement":
         return cls(1.0, 0.0, 0.0, 1.0)
@@ -92,7 +95,7 @@ class SL2CElement(_Unimodular):
         return cls(a, b, c, d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SU2Element:
     """Unitary ((alpha, beta), (-conj beta, conj alpha)) with unit norm row."""
 
@@ -124,10 +127,12 @@ class SU2Element:
 class SL2RElement(_Unimodular):
     """Real 2x2 matrix ((a, b), (c, d)) with unit determinant."""
 
+    __slots__ = ()
+
     _scalar = float
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class HermitianSlot:
     """2x2 Hermitian matrix carrying four-vector components in the tau basis.
 

@@ -10,14 +10,14 @@ import pytest
 
 from lorentzsky import (FourVector, HermitianSlot, LorentzMatrix, MoebiusTransform,
                         PolarAngles, RenderSpec, SL2CElement, SL2RElement, SpherePoint,
-                        StandardDecomposition, SU2Element, aberrate, blackbody_rgb,
-                        boost_axis, boost_x, disc_radius_px, doppler,
-                        four_vector_from_hermitian, hermitian_from_four_vector,
+                        StandardDecomposition, SU2Element, aberrate, add_velocities,
+                        blackbody_rgb, boost_axis, boost_x, disc_radius_px, doppler,
+                        four_vector_from_hermitian, gamma, hermitian_from_four_vector,
                         integrate_proper_acceleration, interval_squared, inverse_stereo,
-                        lift_lorentz_to_sl2c, recompose, rotation_about_axis,
-                        rotation_embed, sl2c_to_lorentz, sl2r_to_so21, sphere_metric_factor,
-                        standard_decompose, stereo_project, su2_from_axis_angle,
-                        validate_lorentz, velocity_from_rapidity)
+                        lift_lorentz_to_sl2c, rapidity_from_velocity, recompose,
+                        rotation_about_axis, rotation_embed, sl2c_to_lorentz, sl2r_to_so21,
+                        sphere_metric_factor, standard_decompose, stereo_project,
+                        su2_from_axis_angle, validate_lorentz, velocity_from_rapidity)
 from lorentzsky.celestial import BondiPoint, act_asymptotic, act_exact
 from lorentzsky.errors import LorentzSkyError, NotHermitian, NotLorentz, NotOnSphere, RangeError
 
@@ -149,15 +149,36 @@ SITES = {
     "stereo_project_text": lambda: stereo_project("a", 0, 0, 1),
     "hermitian_text": lambda: HermitianSlot([["a", 0], [0, 1]]),
     "rotation_embed_text": lambda: rotation_embed([["a"] * 3] * 3),
+    "moebius_dilation_text": lambda: MoebiusTransform.dilation("a"),
+    "moebius_rotation_text": lambda: MoebiusTransform.rotation("a"),
+    "moebius_special_text": lambda: MoebiusTransform.special("a"),
+    "sphere_metric_text": lambda: sphere_metric_factor(Q, "a"),
+    "inverse_stereo_text": lambda: inverse_stereo(Q, "a"),
+    "gamma_text": lambda: gamma("a"),
+    "rapidity_from_velocity_text": lambda: rapidity_from_velocity("a"),
+    "add_velocities_text": lambda: add_velocities("a", 0.1),
+    # ints past the double range, which float() and complex() refused with an OverflowError
+    "boost_x_huge_int": lambda: boost_x(10 ** 400),
+    "four_vector_huge_int": lambda: FourVector(10 ** 400, 0, 0, 0),
+    "sphere_point_huge_int": lambda: SpherePoint(10 ** 400, 1),
+    "velocity_rapidity_huge_int": lambda: velocity_from_rapidity(10 ** 400),
+    "aberrate_huge_int": lambda: aberrate(10 ** 400, 1.0),
 }
 
-# the field each non-number site names
+# the field each non-number or huge-int site names
 NAMED_FIELDS = {"four_vector_text": "x0", "four_vector_none": "x3", "polar_text": "theta",
                 "bondi_text": "u", "sphere_point_text": "z2", "sl2c_text": "a",
                 "su2_none": "beta", "lorentz_text": "entries", "boost_x_text": "rapidity",
                 "su2_angle_text": "angle", "aberrate_text": "rapidity", "doppler_none": "theta",
                 "decomposition_text_chi": "chi", "stereo_project_text": "x1",
-                "hermitian_text": "matrix", "rotation_embed_text": "r"}
+                "hermitian_text": "matrix", "rotation_embed_text": "r",
+                "moebius_dilation_text": "rapidity", "moebius_rotation_text": "theta",
+                "moebius_special_text": "b", "sphere_metric_text": "r",
+                "inverse_stereo_text": "r", "gamma_text": "v",
+                "rapidity_from_velocity_text": "v", "add_velocities_text": "v",
+                "boost_x_huge_int": "rapidity", "four_vector_huge_int": "x0",
+                "sphere_point_huge_int": "z1", "velocity_rapidity_huge_int": "rapidity",
+                "aberrate_huge_int": "rapidity"}
 
 
 # the sites whose check raises the error its other inputs already raise, not a RangeError
