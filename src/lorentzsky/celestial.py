@@ -12,10 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import NotNull, NotOrthochronous, OriginDirectionUndefined, RangeError
-from .minkowski import (FourVector, LorentzMatrix, Rapidity, _finite_number, _matmul, _number,
+from .minkowski import (FourVector, LorentzMatrix, Rapidity, _apply, _finite_number, _number,
                         _require_finite)
 from .sphere import (MoebiusTransform, SpherePoint, _affine_pair, _inverse_stereo,
                      _stereo_project)
@@ -64,11 +62,11 @@ def inertial_from_bondi(b: BondiPoint) -> FourVector:
 
 def act_exact(lam: LorentzMatrix, b: BondiPoint) -> BondiPoint:
     """Exact finite-radius action: bondi_from_inertial(lam.apply(inertial_from_bondi(b))),
-    bit for bit and with the same errors, without the intermediate four-vectors."""
+    bit for bit and with the same errors, without the intermediate four-vectors: the same
+    fixed-order float product as :meth:`LorentzMatrix.apply`."""
     x = _inertial(b)
     _require_finite(x)
-    # lam's entries square to its finite residual, so they are below sqrt(DBL_MAX).
-    y = _matmul(lam.entries, np.array(x), sum(map(abs, x))).tolist()
+    y = _apply(lam.entries.ravel().tolist(), *x)
     _require_finite(y)
     return _bondi(*y)
 

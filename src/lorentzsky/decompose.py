@@ -38,6 +38,9 @@ class StandardDecomposition:
         if not 0.0 <= self.chi < math.inf:
             raise RangeError(f"chi must be non-negative and finite, got {self.chi!r}")
 
+    def __reduce__(self):
+        return StandardDecomposition, (self.r1, self.chi, self.r2)  # rebuilt: read-only rotations
+
 
 def _factors(lam: LorentzMatrix) -> np.ndarray:
     """r1's rows, chi and r2's rows, computed once and kept on ``lam`` (immutable) as one
@@ -112,14 +115,17 @@ def standard_decompose(lam: LorentzMatrix) -> StandardDecomposition:
 
 
 def recompose(d: StandardDecomposition) -> LorentzMatrix:
-    """Closed form of embed(r1) . boost_x(chi) . embed(r2)."""
+    """Closed form of embed(r1) . boost_x(chi) . embed(r2) on the rows of r1 and r2: the 0-0
+    entry is cosh chi, row 0 is -sinh(chi) r2[0], column 0 is -sinh(chi) r1[:, 0], and the
+    spatial block r1 . diag(cosh chi, 1, 1) . r2 sums over k = 0, 1, 2 in Python floats."""
     ch, sh = _boost_terms(d.chi)
-    m = np.empty((4, 4))
-    m[0, 0] = ch
-    m[0, 1:] = -sh * d.r2[0]
-    m[1:, 0] = -sh * d.r1[:, 0]
-    m[1:, 1:] = d.r1 @ (np.array([[ch], [1.0], [1.0]]) * d.r2)
-    return LorentzMatrix(m)
+    f0, f1, f2, g0, g1, g2, h0, h1, h2 = d.r2.ravel().tolist()
+    e0, e1, e2 = ch * f0, ch * f1, ch * f2  # row 0 of diag(cosh chi, 1, 1) . r2
+    m = [ch, -sh * f0, -sh * f1, -sh * f2]
+    for p, q, r in d.r1.tolist():
+        m += (-sh * p, p * e0 + q * g0 + r * h0, p * e1 + q * g1 + r * h1,
+              p * e2 + q * g2 + r * h2)
+    return LorentzMatrix(np.array(m).reshape(4, 4))
 
 
 def rapidity_of(lam: LorentzMatrix) -> Rapidity:

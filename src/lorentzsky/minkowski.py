@@ -25,8 +25,7 @@ _DEFECT_TOL = 16 * 2.0 ** -52
 #: Metric matrix diag(-1, 1, 1, 1).
 METRIC = np.diag([-1.0, 1.0, 1.0, 1.0])
 METRIC.setflags(write=False)
-_ETA = METRIC.diagonal().copy()
-_ETA_SIGNS = np.outer(_ETA, _ETA)
+_ETA_SIGNS = np.outer(METRIC.diagonal(), METRIC.diagonal())
 _I3 = np.eye(3)
 
 #: Rapidity is the additive boost parameter; a plain dimensionless float.
@@ -139,7 +138,9 @@ class LorentzMatrix:
     when |det|, as read by :func:`_det`, is not 1 within it (once it reaches 1, as a boost's
     does from chi ~ 16.6, that check no longer bounds det away from 0), and
     :class:`RangeError` when ``tol`` is not positive and finite or an entry is not a number.
-    Instances are immutable, and keep their label and factors.
+    The residual, :meth:`apply` and products are summed in Python floats in one fixed order,
+    so they are the same bits on every CPU.  Instances are immutable, and keep their label
+    and factors; a copy is rebuilt through the constructor, without them.
     """
 
     entries: np.ndarray
@@ -150,6 +151,10 @@ class LorentzMatrix:
         if not isinstance(other, LorentzMatrix):
             return NotImplemented
         return np.array_equal(self.entries, other.entries)
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor: read-only entries, no cache
+        return LorentzMatrix, (self.entries, self.tol)
 
     def __post_init__(self):
         m = _array(float, "entries", self.entries)
@@ -163,11 +168,28 @@ class LorentzMatrix:
         if not 0.0 < self.tol < math.inf:
             raise RangeError(f"tolerance must be positive and finite, got {self.tol!r}")
         tol = max(self.tol, _ROUNDING_TOL * (flat[0] * flat[0]))
-        # m^T eta is m^T with column 0 negated: the bits of m^T @ METRIC @ m.
-        # "not <=" rejects a nan residual too (inf - inf from overflowing products).
-        residual = float(np.abs(_matmul(m.T * _ETA, m, size) - METRIC).max())
-        if not residual <= tol < math.inf:
-            raise NotLorentz(residual)
+        (m00, m01, m02, m03, m10, m11, m12, m13,
+         m20, m21, m22, m23, m30, m31, m32, m33) = flat
+        # The 10 distinct entries of m^T eta m - eta, (i, j) for columns i <= j, each summed
+        # over rows 0 to 3.  An overflowing product is inf, and inf - inf nan, unwarned.
+        gram = (-m00 * m00 + m10 * m10 + m20 * m20 + m30 * m30 + 1.0,
+                -m01 * m01 + m11 * m11 + m21 * m21 + m31 * m31 - 1.0,
+                -m02 * m02 + m12 * m12 + m22 * m22 + m32 * m32 - 1.0,
+                -m03 * m03 + m13 * m13 + m23 * m23 + m33 * m33 - 1.0,
+                -m00 * m01 + m10 * m11 + m20 * m21 + m30 * m31,
+                -m00 * m02 + m10 * m12 + m20 * m22 + m30 * m32,
+                -m00 * m03 + m10 * m13 + m20 * m23 + m30 * m33,
+                -m01 * m02 + m11 * m12 + m21 * m22 + m31 * m32,
+                -m01 * m03 + m11 * m13 + m21 * m23 + m31 * m33,
+                -m02 * m03 + m12 * m13 + m22 * m23 + m32 * m33)
+        residual = max(map(abs, gram))
+        # max skips a nan that is not first; entries below 1e154 leave no product to overflow
+        if size >= 1e154 and math.isnan(sum(map(abs, gram))):
+            residual = math.nan
+        if not residual <= tol < math.inf:  # "not" rejects a nan residual too
+            raise NotLorentz(residual, f"metric-preservation residual {residual:.3e} " + (
+                f"exceeds tolerance {tol:.3e}" if tol < math.inf
+                else "has no finite tolerance: 64 eps m00^2 overflows a double"))
         # residual <= tol < 1 already gives |m00| >= sqrt(1 - tol); from tol = 1
         # on only this guard keeps _det from dividing by 0.
         if flat[0] == 0.0:
@@ -180,8 +202,7 @@ class LorentzMatrix:
         object.__setattr__(self, "residual", residual)
 
     def apply(self, x: FourVector) -> FourVector:
-        v = x.x0, x.x1, x.x2, x.x3
-        return FourVector(*_matmul(self.entries, np.array(v), sum(map(abs, v))).tolist())
+        return FourVector(*_apply(self.entries.ravel().tolist(), x.x0, x.x1, x.x2, x.x3))
 
     def _defect(self, gain: float) -> float:
         """residual * gain for a residual past what rounding leaves (16 eps m00^2), else 0."""
@@ -195,25 +216,26 @@ class LorentzMatrix:
         return _rounded(self.entries.T * _ETA_SIGNS, (self,), self._defect(7.47 * m00 * m00), m00)
 
     def __matmul__(self, other: "LorentzMatrix") -> "LorentzMatrix":
-        b = other.entries.ravel().tolist()  # for _matmul: self's validated entries < sqrt(DBL_MAX)
-        p = _matmul(self.entries, other.entries, sum(map(abs, b)))
-        scale = abs(self.entries[0, 0].item() * b[0])
-        if abs(p[0, 0].item()) <= _ROUNDING_TOL * scale:  # all rounding: A A^-1 from chi ~ 16.6
-            raise RangeError(f"product is past double precision: its 0-0 entry {p[0, 0]:.3e} is "
+        a, bt = self.entries.ravel().tolist(), other.entries.T.ravel().tolist()
+        p = [_apply(bt, *a[i:i + 4]) for i in (0, 4, 8, 12)]  # row i of A B is B^T (row i of A)
+        scale = abs(a[0] * bt[0])
+        if abs(p[0][0]) <= _ROUNDING_TOL * scale:  # all rounding: A A^-1 from chi ~ 16.6
+            raise RangeError(f"product is past double precision: its 0-0 entry {p[0][0]:.3e} is "
                              f"within the rounding of a00 * b00 = {scale:.3e} (precision lost)")
         # P^T eta P - eta = B^T E_A B + E_B, and a Lorentz B's column |sums| are at most
         # (1 + sqrt 3) b00, (1 + sqrt 3)^2 < 7.47: a factor's defect is carried through B.
-        carried = self._defect(7.47 * b[0] * b[0]) + other._defect(1.0)
-        return _rounded(p, (self, other), carried, scale)
+        carried = self._defect(7.47 * bt[0] * bt[0]) + other._defect(1.0)
+        return _rounded(np.array(p), (self, other), carried, scale)
 
 
-def _matmul(a: np.ndarray, b: np.ndarray, size: float) -> np.ndarray:
-    """a @ b, for a's entries below sqrt(DBL_MAX) and ``size`` the sum of b's |entries|: under
-    1e154 no sum overflows and no np.errstate (~2 us) is paid; past it, the caller refuses inf."""
-    if size < 1e154:
-        return a @ b
-    with np.errstate(over="ignore", invalid="ignore"):
-        return a @ b
+def _apply(m: list[float], x0: float, x1: float, x2: float,
+           x3: float) -> tuple[float, float, float, float]:
+    """m x for m given as its 16 entries row by row, each row's sum taken left to right in
+    Python floats: the same bits on every CPU, and an overflow is inf or nan, unwarned."""
+    return (m[0] * x0 + m[1] * x1 + m[2] * x2 + m[3] * x3,
+            m[4] * x0 + m[5] * x1 + m[6] * x2 + m[7] * x3,
+            m[8] * x0 + m[9] * x1 + m[10] * x2 + m[11] * x3,
+            m[12] * x0 + m[13] * x1 + m[14] * x2 + m[15] * x3)
 
 
 def _rounded(m: np.ndarray, factors: tuple = (), carried: float = 0.0,
@@ -369,8 +391,9 @@ def boost_x(chi: Rapidity) -> LorentzMatrix:
 
 def _unit_axis(n: Iterable[float]) -> np.ndarray:
     n = np.asarray(n, dtype=float).ravel()
-    if n.shape != (3,) or not abs(float(n @ n) - 1.0) <= 2e-12:
-        raise BadAxis(f"axis must be a unit 3-vector, got {n.tolist()!r}")
+    x = n.tolist()  # Python floats: a square past the double range is inf, unwarned
+    if len(x) != 3 or not abs(x[0] * x[0] + x[1] * x[1] + x[2] * x[2] - 1.0) <= 2e-12:
+        raise BadAxis(f"axis must be a unit 3-vector, got {x!r}")
     return n
 
 

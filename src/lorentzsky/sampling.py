@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .decompose import StandardDecomposition, recompose
@@ -11,9 +13,9 @@ from .spin import SL2CElement, SU2Element, su2_to_so3
 
 def random_su2(rng: np.random.Generator) -> SU2Element:
     """Haar-uniform SU(2) element from a normalized Gaussian 4-vector."""
-    v = rng.normal(size=4)
-    v /= np.linalg.norm(v)
-    return SU2Element(complex(v[0], v[1]), complex(v[2], v[3]))
+    v = rng.normal(size=4).tolist()
+    norm = math.hypot(*v)  # Python floats: the same bits on every CPU
+    return SU2Element(complex(v[0] / norm, v[1] / norm), complex(v[2] / norm, v[3] / norm))
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

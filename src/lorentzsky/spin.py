@@ -29,11 +29,9 @@ _PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dt
 #: Basis of 2x2 Hermitian matrices carrying four-vector components.
 TAU = np.stack([np.eye(2, dtype=complex), -_PAULI[0], _PAULI[1], _PAULI[2]])
 
-# (_COVER @ outer(s, conj s).ravel())[4 n + m] = 1/2 tr(tau_n s tau_m s-dagger), by trace pairing
-_COVER = 0.5 * np.einsum("nia,mbc->nmabic", TAU, TAU).reshape(16, 16)
 # the signs that take the spatial block from the tau basis to the Pauli basis
 _PAULI_SIGNS = np.outer([-1.0, 1.0, 1.0], [-1.0, 1.0, 1.0])
-for _const in (TAU, _PAULI, _COVER, _PAULI_SIGNS):
+for _const in (TAU, _PAULI, _PAULI_SIGNS):
     _const.setflags(write=False)
 
 
@@ -153,6 +151,9 @@ class HermitianSlot:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
+    def __reduce__(self):
+        return HermitianSlot, (self.matrix,)  # copies are rebuilt, with read-only entries
+
     @property
     def det(self) -> float:
         """RangeError when it is past the double range."""
@@ -180,17 +181,26 @@ def four_vector_from_hermitian(x: HermitianSlot | np.ndarray) -> FourVector:
 
 
 def _cover(s: _Unimodular) -> np.ndarray:
-    """4x4 image of s, whose 0-0 entry is |s|_F^2 / 2.
+    """4x4 image of s, written out in a, b, c, d in Python floats (the same bits on any CPU).
 
-    Column mu holds the tau-basis components of s tau_mu s-dagger; entries
-    are quadratic in (a, b, c, d), so s and -s give the same matrix.
+    Column mu holds the tau-basis components of s tau_mu s-dagger.  With x y* the products
+    of two entries, the 0-0 entry is (|a|^2 + |b|^2 + |c|^2 + |d|^2) / 2, the 0-1 entry
+    -Re(a b*) - Re(c d*), the 1-2 entry Im(b c*) - Im(a d*), and so on; entries are quadratic
+    in (a, b, c, d), so s and -s give the same matrix.
     """
-    # The sums below are at most lam_00: refuse its overflow before numpy warns.
-    lam00 = sum(0.5 * (x.real * x.real + x.imag * x.imag) for x in (s.a, s.b, s.c, s.d))
-    if not math.isfinite(lam00):
+    a, b, c, d = s.a, s.b, s.c, s.d
+    ha, hb, hc, hd = (0.5 * (x.real * x.real + x.imag * x.imag) for x in (a, b, c, d))
+    lam00 = ha + hb + hc + hd
+    if not math.isfinite(lam00):  # no entry or product below exceeds lam_00
         raise NotLorentz(math.inf, "matrix has non-finite entries")
-    m = s.matrix
-    return (_COVER @ np.multiply.outer(m, m.conj()).ravel()).real.reshape(4, 4)
+    ab, cd, ac = a * b.conjugate(), c * d.conjugate(), a * c.conjugate()
+    bd, ad, bc = b * d.conjugate(), a * d.conjugate(), b * c.conjugate()
+    return np.array([
+        lam00, -ab.real - cd.real, ab.imag + cd.imag, ha - hb + hc - hd,
+        -ac.real - bd.real, ad.real + bc.real, bc.imag - ad.imag, bd.real - ac.real,
+        -ac.imag - bd.imag, ad.imag + bc.imag, ad.real - bc.real, bd.imag - ac.imag,
+        ha + hb - hc - hd, cd.real - ab.real, ab.imag - cd.imag, ha - hb - hc + hd,
+    ]).reshape(4, 4)
 
 
 def sl2c_to_lorentz(s: SL2CElement) -> LorentzMatrix:

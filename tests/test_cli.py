@@ -343,8 +343,10 @@ def test_json_of_the_wrong_shape_exits_1(capsys, monkeypatch, command, text, mes
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
-# Entries of 1e308 overflow the metric residual to inf.
+# Entries of 1e308 overflow the metric residual to inf, and its bound 64 eps m00^2 too.
 OVERFLOWING_MATRIX = '{"m": [[1e308, 0, 0, 0], [0, 1e308, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}'
+OVERFLOWED = ("metric-preservation residual inf has no finite tolerance: "
+              "64 eps m00^2 overflows a double")
 
 
 @pytest.mark.parametrize("command", ["classify", "decompose", "lift"])
@@ -354,7 +356,7 @@ def test_overflowing_matrix_prints_only_the_error_line(command):
                           input=OVERFLOWING_MATRIX, capture_output=True, text=True, env=env)
     assert done.returncode == 1
     assert done.stdout == ""
-    assert done.stderr == "error: metric-preservation residual inf exceeds tolerance\n"
+    assert done.stderr == f"error: {OVERFLOWED}\n"
 
 
 OBLIQUE_BOOST = matrix_json(boost_axis((0.6, 0.0, 0.8), LN2).entries)
@@ -379,9 +381,9 @@ def test_input_and_out_files_carry_the_bytes_of_stdin_and_stdout(tmp_path, capsy
 
 
 @pytest.mark.parametrize("command, text, message", [
-    ("classify", OVERFLOWING_MATRIX, "metric-preservation residual inf exceeds tolerance"),
-    ("decompose", OVERFLOWING_MATRIX, "metric-preservation residual inf exceeds tolerance"),
-    ("lift", OVERFLOWING_MATRIX, "metric-preservation residual inf exceeds tolerance"),
+    ("classify", OVERFLOWING_MATRIX, OVERFLOWED),
+    ("decompose", OVERFLOWING_MATRIX, OVERFLOWED),
+    ("lift", OVERFLOWING_MATRIX, OVERFLOWED),
     ("mobius", SINGULAR_MOBIUS, "determinant 0j is not 1 within 4.547e-05")])
 def test_refused_input_file_writes_no_out_file(tmp_path, capsys, monkeypatch, command, text,
                                                message):
@@ -399,6 +401,7 @@ def test_group_commands_refuse_boosts_past_the_absolute_tolerance(capsys, monkey
     # JSON matrices take the library's rule, whose floor is the absolute 1e-9: for a boost
     # at chi = 1 (entries ~1.5, rounding bound ~3e-14) the floor governs, so the exact boost
     # passes and one written with an entry 1e-8 off, a residual of ~2e-8, is refused
+    # with the 1e-9 bound it was checked against named
     m = boost_axis(axis, 1.0).entries.copy()
     code, out, err = run(capsys, monkeypatch, [command], matrix_json(m))
     assert (code, err) == (0, "")
@@ -406,7 +409,7 @@ def test_group_commands_refuse_boosts_past_the_absolute_tolerance(capsys, monkey
     code, out, err = run(capsys, monkeypatch, [command], matrix_json(m))
     assert (code, out) == (1, "")
     assert err.startswith("error: metric-preservation residual ")
-    assert err.endswith(" exceeds tolerance\n") and err.count("\n") == 1
+    assert err.endswith(" exceeds tolerance 1.000e-09\n") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["classify", "decompose", "lift"])

@@ -102,13 +102,32 @@ def test_recompose_matches_product_of_factors(rng, chi):
         assert got.tol == max(DEFAULT_TOL, 64 * 2.0 ** -52 * (ch * ch))
 
 
+def fixed_order_dot(row, x):
+    """sum(row[k] * x[k]) taken left to right from k = 0."""
+    acc = row[0] * x[0]
+    for k in range(1, len(row)):
+        acc += row[k] * x[k]
+    return acc
+
+
 def test_apply_is_bitwise_the_array_product(rng):
+    # the array product in one fixed order, each row summed from k = 0, whatever numpy's BLAS
+    # kernel does; numpy's own product is within the rounding of both sums of |m_ik x_k|
     for _ in range(N):
         lam = random_proper_orthochronous(rng, chi_max=5.0)
         x = FourVector(*rng.normal(scale=10.0, size=4))
-        got = lam.apply(x)
-        want = FourVector.from_array(lam.entries @ x.as_array())
-        assert got.as_array().tobytes() == want.as_array().tobytes()
+        got = lam.apply(x).as_array()
+        rows, v = lam.entries.tolist(), x.as_array().tolist()
+        assert got.tobytes() == np.array([fixed_order_dot(r, v) for r in rows]).tobytes()
+        bound = 8 * 2.0 ** -52 * np.abs(lam.entries) @ np.abs(x.as_array())
+        assert np.all(np.abs(got - lam.entries @ x.as_array()) <= bound)
+
+
+def ref_residual(m):
+    """max |m^T eta m - eta|, each entry a fixed_order_dot of two columns of m (row 0 signed)."""
+    cols = np.asarray(m, dtype=float).T.tolist()
+    return float(np.abs([[fixed_order_dot([-p[0], *p[1:]], q) for q in cols] for p in cols]
+                        - METRIC).max())
 
 
 def ref_lorentz_check(m, tol):
@@ -119,9 +138,10 @@ def ref_lorentz_check(m, tol):
     if not np.all(np.isfinite(m)):
         return NotLorentz(math.inf, "matrix has non-finite entries")
     tol = max(tol, 64 * 2.0 ** -52 * m[0, 0] ** 2)
-    residual = float(np.abs(m.T @ METRIC @ m - METRIC).max())
+    residual = ref_residual(m)
     if residual > tol:
-        return NotLorentz(residual)
+        return NotLorentz(residual, f"metric-preservation residual {residual:.3e} exceeds "
+                                    f"tolerance {tol:.3e}")
     if abs(abs(float(np.linalg.det(m))) - 1.0) > tol:
         return NotLorentz(residual, "determinant is not +-1 within tolerance")
     if abs(m[0, 0]) < 1.0 - tol:
@@ -159,8 +179,8 @@ def random_lorentz_entries(rng, chi):
 def test_lorentz_check_matches_the_4x4_determinant_check(rng):
     """Exact, noisy (1e-11 to 1e-8, absolute or relative) and corrupted
     matrices with chi <= 10, under the default and the cosh^2-scaled floor
-    on the rounding rule, give the reference's residual (bitwise) or its
-    exception.
+    on the rounding rule, give the reference's residual (bitwise, in its
+    fixed order) or its exception.
 
     The one allowed difference is where the two |det| estimates straddle
     1 +- tol.  Both are first-order accurate: for m^T eta m = eta + E they
@@ -195,7 +215,7 @@ def test_lorentz_check_matches_the_4x4_determinant_check(rng):
         # one side accepted, the other raised the determinant message
         raised = got if isinstance(got, NotLorentz) else want
         assert isinstance(raised, NotLorentz) and "determinant" in str(raised)
-        residual = float(np.abs(m.T @ METRIC @ m - METRIC).max())
+        residual = ref_residual(m)
         det_4x4 = abs(np.linalg.det(m))
         det_block = abs(np.linalg.det(m[1:, 1:]) / m[0, 0])
         assert abs(det_4x4 - det_block) <= 4.0 * residual + 16.0 * m[0, 0] ** 2 * 2.0 ** -52

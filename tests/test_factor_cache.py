@@ -2,22 +2,25 @@
 
 lift_lorentz_to_sl2c and standard_decompose share the factors kept on the matrix, and
 standard_decompose checks its rotations on those floats.  Outputs are pinned to SHA-256
-hashes written before the factors were shared.
+hashes of the group path's fixed-order float arithmetic, the same on every CPU.
 """
 
+import copy
 import dataclasses
 import hashlib
 import math
+import pickle
 import struct
 
 import numpy as np
 import pytest
 
-from lorentzsky import (LorentzMatrix, classify_component, lift_lorentz_to_sl2c, parity,
-                        recompose, sl2c_to_lorentz, standard_decompose)
+from lorentzsky import (BondiPoint, FourVector, LorentzMatrix, SpherePoint, act_exact,
+                        classify_component, hermitian_from_four_vector, lift_lorentz_to_sl2c,
+                        parity, recompose, sl2c_to_lorentz, standard_decompose)
 from lorentzsky import decompose, minkowski
 from lorentzsky.errors import RangeError, WrongComponent
-from lorentzsky.minkowski import _is_rotation, _matmul, _triple
+from lorentzsky.minkowski import _is_rotation, _triple
 from lorentzsky.sampling import random_rotation, random_sl2c
 from test_errors import rounded_away_r2
 
@@ -85,6 +88,23 @@ def test_matrices_with_equal_entries_do_not_share_factors(rng, factorizations):
     assert factorizations[0] == 2
 
 
+@pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy,
+                                       lambda x: pickle.loads(pickle.dumps(x))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_copies_are_rebuilt_read_only_without_the_caches(rng, duplicate):
+    lam = sl2c_to_lorentz(random_sl2c(rng))
+    d = standard_decompose(lam)  # keeps the label and the factors on lam
+    c = duplicate(lam)
+    assert c == lam and (c.tol, c.residual) == (lam.tol, lam.residual)
+    assert getattr(c, "_component", None) is None and getattr(c, "_factors", None) is None
+    with pytest.raises(ValueError):  # a copy whose entries changed would keep a stale label
+        c.entries[0, 0] = -5.0
+    d2, h = duplicate(d), duplicate(hermitian_from_four_vector(FourVector(1.0, 2.0, 3.0, 4.0)))
+    assert d2.chi == d.chi and np.array_equal(d2.r1, d.r1) and np.array_equal(d2.r2, d.r2)
+    for array in (d2.r1, d2.r2, h.matrix):
+        assert not array.flags.writeable
+
+
 def test_decomposition_views_are_read_only(rng):
     d = standard_decompose(sl2c_to_lorentz(random_sl2c(rng)))
     for r in (d.r1, d.r2):
@@ -94,27 +114,50 @@ def test_decomposition_views_are_read_only(rng):
 
 
 def test_group_chain_outputs_are_pinned():
-    # SHA-256 of the lift's entries, of r1, chi and r2, and of recompose's entries over
-    # 3000 covers, written when lift and standard_decompose each factored the matrix.
-    rng = np.random.default_rng(28)
-    lift, dec, rec = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    # SHA-256 over 3000 covers of: the cover's entries and residual, the lift's entries, r1,
+    # chi and r2, recompose's entries and residual, act_exact at r = 1e3, apply, and the
+    # product of the cover and its recomposition.  The group path computes in Python floats
+    # in one fixed order, so the hashes are the same whatever BLAS kernel numpy picks.
+    rng, points = np.random.default_rng(28), np.random.default_rng(29)
+    hashes = {name: hashlib.sha256() for name in
+              ("cover", "lift", "dec", "rec", "act_exact", "apply", "product")}
+
+    def update(name, *values):
+        hashes[name].update(struct.pack(f"<{len(values)}d", *values))
+
     for _ in range(3000):
         lam = sl2c_to_lorentz(random_sl2c(rng))
         s = lift_lorentz_to_sl2c(lam)
         d = standard_decompose(lam)
-        lift.update(np.array([s.a, s.b, s.c, s.d]).tobytes())
-        dec.update(d.r1.tobytes() + struct.pack("<d", d.chi) + d.r2.tobytes())
-        rec.update(recompose(d).entries.tobytes())
-    assert lift.hexdigest() == "48752d5cc3912e802ef36a97d4abed2ebe057f4f7c8cb86ee21c372bee58e384"
-    assert dec.hexdigest() == "7df29853ce89e4896076c10be91e3ea1f826abae47f1a1d3d8afb9d8459fdca4"
-    assert rec.hexdigest() == "56b8647cc172b3f41f727c4153de694863a3cd77a651ae443a6e4d47f5a25577"
+        rec = recompose(d)
+        u, z1, z2, *x = points.normal(size=7).tolist()
+        img = act_exact(lam, BondiPoint(u, 1e3, SpherePoint.from_complex(complex(z1, z2))))
+        y = lam.apply(FourVector(*x))
+        p = lam @ rec
+        update("cover", *lam.entries.ravel().tolist(), lam.residual)
+        update("lift", *(v for e in (s.a, s.b, s.c, s.d) for v in (e.real, e.imag)))
+        update("dec", *d.r1.ravel().tolist(), d.chi, *d.r2.ravel().tolist())
+        update("rec", *rec.entries.ravel().tolist(), rec.residual)
+        update("act_exact", img.u, img.r, img.q.z1.real, img.q.z1.imag, img.q.z2.real,
+               img.q.z2.imag)
+        update("apply", y.x0, y.x1, y.x2, y.x3)
+        update("product", *p.entries.ravel().tolist(), p.residual)
+    assert {name: h.hexdigest() for name, h in hashes.items()} == {
+        "cover": "c886b3747f28d65d2a9f70223f4c1a08e987e965a40f4ee06af8087195746a3b",
+        "lift": "b5d61e4ce7a0f64376a856c5755cfd23a2a8be88c56abf79241baaed505e4d6c",
+        "dec": "3e9e80aa6d46348c671062384b0781e13dc1f486dd7b46f06235d2cb29317ed8",
+        "rec": "483913488fbd8a07dd0197220c1ecc90dc2de8be06110968bbd6d7e9a2bd780e",
+        "act_exact": "2d2fc2cf2fe6affce5fd78a837eaf53820c7de9e88909858c380826ed16680f7",
+        "apply": "38834094c176ddc5990294ada98ee589176d073ea9f45facbf84fe2c7eb7b13a",
+        "product": "95420f5ccbe859258ee46630ea057a2ebb9436856afc77f67f96bcc719c0d0fd",
+    }
 
 
 def numpy_is_rotation(r: np.ndarray, tol: float) -> bool:
     """The rotation check as numpy arithmetic: the triple product, then max |r^T r - I|."""
-    flat = r.ravel().tolist()
-    return (_triple(*flat) > 0
-            and float(np.abs(_matmul(r.T, r, sum(map(abs, flat))) - np.eye(3)).max()) <= tol)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is inf, and refuses
+        gram = r.T @ r
+    return _triple(*r.ravel().tolist()) > 0 and float(np.abs(gram - np.eye(3)).max()) <= tol
 
 
 def rotation_probes(rng):

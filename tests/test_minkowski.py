@@ -422,18 +422,22 @@ def test_singular_block_passes_once_the_rounding_bound_reaches_one(c, accepted):
 
 
 @pytest.mark.parametrize("chi, accepted, message", [
-    (7.0, True, None), (8.0, True, None), (8.25, False, "residual"), (9.1, False, "residual"),
-    (16.0, False, "residual"), (17.0, False, "0-0 entry"), (20.0, False, "0-0 entry"),
-    (27.5, False, "0-0 entry"), (188.0, False, "0-0 entry")])
+    (7.0, True, None), (8.0, True, None), (8.25, True, None), (8.5, False, "residual"),
+    (9.1, False, "residual"), (16.0, False, "residual"), (17.0, False, "0-0 entry"),
+    (20.0, False, "0-0 entry"), (27.5, False, "0-0 entry"), (188.0, False, "0-0 entry")])
 def test_boost_times_its_inverse_is_refused_once_its_cancellation_passes_the_floor(
         chi, accepted, message):
     """A A^-1 rounds by ~cosh^2(chi) ulp, against the 1e-9 floor of a matrix of size 1: which
-    chi between ~7.6 and ~9.05 pass is the luck of each rounding; 8.0 passes, 8.25 does not.
+    chi from ~7.7 on pass is the luck of each rounding; 8.25 passes, 8.5 does not.  The
+    products' fixed order makes their off-diagonal entries cosh * sinh - sinh * cosh exactly
+    0, so the product is diag(1 + d, 1 + d, 1, 1) and passes whenever cosh^2 - sinh^2 rounds
+    to within 1e-9 of 1: about a quarter of chi in each unit band from 9 to 16.6, the same on
+    every CPU.
 
     From chi ~ 16.6, where 64 eps cosh^2 chi reaches 1, the product's 0-0 entry is within the
     rounding of a00 * b00 and is refused as noise before its residual is read: from chi ~ 27.5
-    that noise can reach 2^23, and about half of these products would otherwise come out as
-    the singular block [[c, c], [c, c]] + I that the residual rule accepts past that size.
+    that noise can reach 2^23, where a product of noise such as the singular block
+    [[c, c], [c, c]] + I passes the residual rule.
     """
     b = boost_x(chi)
     if accepted:

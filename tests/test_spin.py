@@ -1,6 +1,8 @@
 import cmath
+import hashlib
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -480,3 +482,17 @@ def test_restriction_to_sl2r_matches_real_cover(rng):
         scale = 1e-15 * lam[0, 0]
         assert np.abs(lam[2] - [0, 0, 1, 0]).max() <= scale
         assert np.abs(lam[:, 2] - [0, 0, 1, 0]).max() <= scale
+
+
+def test_seeded_draws_are_pinned():
+    # random_su2 normalises with math.hypot, not numpy's BLAS norm, and random_rotation is
+    # its cover's block: the seeded inputs of the tests and scripts are the same on every CPU
+    rng = np.random.default_rng(5)
+    su2, rotations = hashlib.sha256(), hashlib.sha256()
+    for _ in range(3000):
+        u = random_su2(rng)
+        su2.update(struct.pack("<4d", u.alpha.real, u.alpha.imag, u.beta.real, u.beta.imag))
+        rotations.update(random_rotation(rng).tobytes())
+    assert su2.hexdigest() == "2a0791dfeb427136da6d64141678d197043d90dbd3ae44701075e9272cd20008"
+    assert rotations.hexdigest() == (
+        "e618ff847e679c87a0ea2e0c1375906fb8d5dc0b7d61a577cd49ea8aeb7a76f0")
